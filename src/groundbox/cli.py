@@ -131,17 +131,19 @@ def gradcheck_all_modes(config=None, step=1e-5):
     """Run finite_diff_check on every loss mode; returns {mode: (err, name)}.
 
     Uses a deterministic synthetic instance with dropout off and fixed
-    eval-mode frame sampling.
+    eval-mode frame sampling; the first train segment is the positive and
+    the next ``negatives`` train segments are its visual negatives.
     """
     from .config import LossMode
 
     base = GroundingConfig.from_dict(GRADCHECK_DEFAULTS) if config is None else config
     results = {}
     for mode in LossMode:
-        cfg = base.replace(mode=mode, dropout=0.0).validate()
+        cfg = base.replace(mode=mode, dropout=0.0, train_segments=max(
+            base.train_segments, 1 + base.negatives)).validate()
         rng = np.random.default_rng(cfg.seed)
         vocab, splits = generate_synthetic(cfg, seed=cfg.seed + 1)
-        seg, neg = splits["train"][0], splits["train"][1]
+        seg, negs = splits["train"][0], splits["train"][1:1 + cfg.negatives]
         neg_labels = [lab for lab in range(cfg.V)
                       if lab not in seg.query_labels][: len(seg.query_labels)]
         model = GroundingModel(cfg, rng)
@@ -150,7 +152,7 @@ def gradcheck_all_modes(config=None, step=1e-5):
             frame_indices += [frame_indices[-1]] * (cfg.T - len(frame_indices))
 
         def f():
-            return model.segment_loss(seg, [neg], [neg_labels], training=False,
+            return model.segment_loss(seg, negs, [neg_labels], training=False,
                                       frame_indices=frame_indices)
 
         results[mode] = finite_diff_check(f, model.params(), step=step)

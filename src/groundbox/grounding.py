@@ -17,10 +17,6 @@ from .tensor import ShapeError, Tensor
 LOG_EPS = 1e-8  # sigmoid outputs cannot hit 0 analytically but can underflow
 
 
-class DataError(ValueError):
-    pass
-
-
 class SimilarityCube:
     """a[k, t, i] in (0,1) for O queries, T frames, N proposals per frame."""
 
@@ -44,16 +40,16 @@ class SimilarityCube:
         return T.mean_all(best)
 
 
-def similarity_cube(Q, frames):
-    """Q: (O, d) Tensor; frames: list of (N, d) Tensors -> SimilarityCube."""
+def similarity_cube(Q, P, n_frames):
+    """Q: (O, d) Tensor; P: (n_frames*N, d) Tensor holding the proposals of
+    n_frames frames, frame-major, N per frame -> SimilarityCube.
+    """
     O, d = Q.data.shape
-    counts = {f.data.shape[0] for f in frames}
-    if len(counts) != 1:
-        raise DataError(f"ragged proposal counts across frames: {sorted(counts)}")
-    N = counts.pop()
-    P = T.concat(frames, axis=0)                       # (T*N, d)
+    rows = P.data.shape[0]
+    if n_frames < 1 or rows % n_frames:
+        raise ShapeError(f"{rows} proposal rows do not split into {n_frames} frames")
     logits = T.scale(Q @ P.T, 1.0 / math.sqrt(d))
-    a = T.reshape(T.sigmoid(logits), (O, len(frames), N))
+    a = T.reshape(T.sigmoid(logits), (O, n_frames, rows // n_frames))
     argmax = np.argmax(a.data, axis=-1)
     return SimilarityCube(a, argmax)
 

@@ -8,7 +8,7 @@ from . import grounding as G
 from . import tensor as T
 from .attention import MultiHeadAttentionStack, self_attend
 from .config import LossMode
-from .data import sample_frames
+from .data import DataError, sample_frames
 from .encoders import ProposalEncoder, QueryEncoder
 from .tensor import Tensor, no_grad
 
@@ -52,20 +52,18 @@ class GroundingModel:
     # ------------------------------------------------------------------
     # forward pieces
 
-    def encode_frames(self, segment, frame_indices, training, rng):
-        """Encode the proposals of the chosen frames -> list of (N, d) tensors."""
-        feats = np.stack([p.feature for f in frame_indices
-                          for p in segment.frames[f]]).astype(np.float64)
-        encoded = self.prop_enc.encode(feats, training=training, rng=rng)
-        N = len(segment.frames[frame_indices[0]])
-        return [T.take(encoded, range(t * N, (t + 1) * N))
-                for t in range(len(frame_indices))]
+    def encode_frames(self, blocks, training, rng):
+        """Encode the proposals of every (segment, frame_indices) block in one
+        pass -> one (sum of T*N, d) tensor, block after block, frame-major.
+        """
+        feats = stack_features(blocks)
+        return self.prop_enc.encode(feats, training=training, rng=rng)
 
     def cube(self, segment, frame_indices, training=False, rng=None, queries=None):
         Q = queries if queries is not None \
             else self.query_enc.encode(segment.query_labels)
-        frames = self.encode_frames(segment, frame_indices, training, rng)
-        return G.similarity_cube(Q, frames)
+        P = self.encode_frames([(segment, frame_indices)], training, rng)
+        return G.similarity_cube(Q, P, len(frame_indices))
 
     def language_scores(self, Q, training, rng):
         J = self_attend(Q, self.attn, training=training, rng=rng)
@@ -83,16 +81,20 @@ class GroundingModel:
         if frame_indices is None:
             frame_indices = sample_frames(segment.n_frames, cfg.T,
                                           "train" if training else "eval", rng)
+        Tn = len(frame_indices)
         Q = self.query_enc.encode(segment.query_labels)
-        pos_frames = self.encode_frames(segment, frame_indices, training, rng)
-        cube_pos = G.similarity_cube(Q, pos_frames)
-
-        vis_cubes = []
-        for neg in neg_visual:
-            idx = [min(f, neg.n_frames - 1) for f in frame_indices]
-            vis_cubes.append(G.similarity_cube(
-                Q, self.encode_frames(neg, idx, training, rng)))
-        sent_cubes = [G.similarity_cube(self.query_enc.encode(labels), pos_frames)
+        blocks = [(segment, frame_indices)] + [
+            (neg, [min(f, neg.n_frames - 1) for f in frame_indices])
+            for neg in neg_visual]
+        # one dropout draw over the stacked block consumes the rng exactly
+        # as one draw per block would
+        encoded = self.encode_frames(blocks, training, rng)
+        rows = encoded.data.shape[0] // len(blocks)
+        pos, *vis = [T.take(encoded, np.arange(b * rows, (b + 1) * rows))
+                     for b in range(len(blocks))]
+        cube_pos = G.similarity_cube(Q, pos, Tn)
+        vis_cubes = [G.similarity_cube(Q, P, Tn) for P in vis]
+        sent_cubes = [G.similarity_cube(self.query_enc.encode(labels), pos, Tn)
                       for labels in neg_sentences]
 
         if mode is LossMode.DVSA:
@@ -128,6 +130,27 @@ class GroundingModel:
         return {(k, f): segment.frames[f][pick[k, t]]
                 for k in range(len(segment.query_labels))
                 for t, f in enumerate(frame_indices)}
+
+
+def stack_features(blocks):
+    """Proposal features of every (segment, frame_indices) block as one
+    (sum of T*N, D_in) array, frame-major. Every stacked frame must hold the
+    same number N of proposals: the similarity cube is (O, T, N).
+    """
+    rows = []
+    first = None
+    for segment, frame_indices in blocks:
+        for f in frame_indices:
+            proposals = segment.frames[f]
+            if first is None:
+                first = (segment.segment_id, f, len(proposals))
+            elif len(proposals) != first[2]:
+                raise DataError(
+                    f"segment {segment.segment_id} frame {f} has {len(proposals)} "
+                    f"proposals, but segment {first[0]} frame {first[1]} has "
+                    f"{first[2]}; every frame needs the same count")
+            rows.extend(p.feature for p in proposals)
+    return np.stack(rows).astype(np.float64)
 
 
 def load_into_model(model, flat_params):

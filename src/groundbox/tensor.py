@@ -3,9 +3,22 @@
 Tensors hold float64 numpy arrays. Operations executed while a Tape is
 active are recorded in execution (topological) order; ``backward`` walks
 the tape once in reverse and accumulates gradients into every tensor that
-requires them. A tape and its tensors belong to a single thread.
+requires them.
+
+The active tape is per context (a ``contextvars.ContextVar``): a ``Tape``
+or ``no_grad`` entered in one thread leaves recording in every other
+thread untouched. A tape and its tensors belong to the context that
+recorded them.
+
+A node's backward computes an adjoint only for the inputs that have
+``requires_grad``; the adjoint of a constant operand is never formed. The
+first adjoint written into a tensor is assigned, later ones are added in
+place. On that first write a tensor takes ownership of an array the op has
+just computed, and copies an adjoint passed through unchanged (a view or
+the incoming gradient itself), so no two tensors share a grad buffer.
 """
 
+import contextvars
 import math
 
 import numpy as np
@@ -22,7 +35,7 @@ class ConfigError(ValueError):
 # --------------------------------------------------------------------------
 # tape machinery
 
-_ACTIVE_TAPE = None
+_ACTIVE_TAPE = contextvars.ContextVar("groundbox_active_tape", default=None)
 
 
 class Tape:
@@ -32,14 +45,11 @@ class Tape:
         self.nodes = []
 
     def __enter__(self):
-        global _ACTIVE_TAPE
-        self._prev = _ACTIVE_TAPE
-        _ACTIVE_TAPE = self
+        self._token = _ACTIVE_TAPE.set(self)
         return self
 
     def __exit__(self, *exc):
-        global _ACTIVE_TAPE
-        _ACTIVE_TAPE = self._prev
+        _ACTIVE_TAPE.reset(self._token)
         return False
 
 
@@ -47,14 +57,11 @@ class no_grad:
     """Disable tape recording inside the block (inference mode)."""
 
     def __enter__(self):
-        global _ACTIVE_TAPE
-        self._prev = _ACTIVE_TAPE
-        _ACTIVE_TAPE = None
+        self._token = _ACTIVE_TAPE.set(None)
         return self
 
     def __exit__(self, *exc):
-        global _ACTIVE_TAPE
-        _ACTIVE_TAPE = self._prev
+        _ACTIVE_TAPE.reset(self._token)
         return False
 
 
@@ -123,15 +130,21 @@ class Tensor:
         return transpose(self)
 
 
-def _accumulate(t, g):
-    if t.requires_grad:
-        if t.grad is None:
-            t.grad = np.zeros_like(t.data)
+def _accumulate(t, g, owned=True):
+    """Add adjoint g into t.grad; the caller has checked t.requires_grad.
+
+    owned: g was just computed by the op and nothing else refers to it, so
+    the first write may keep it. Pass owned=False for an adjoint passed
+    through unchanged; the first write then stores a copy.
+    """
+    if t.grad is None:
+        t.grad = np.asarray(g) if owned else np.array(g)
+    else:
         t.grad += g
 
 
 def _record(name, out, inputs, backward_fn):
-    tape = _ACTIVE_TAPE
+    tape = _ACTIVE_TAPE.get()
     if tape is None or not any(t.requires_grad for t in inputs):
         return out
     out.requires_grad = True
@@ -166,8 +179,10 @@ def add(a, b):
     out = Tensor(a.data + b.data)
 
     def bwd(g):
-        _accumulate(a, g)
-        _accumulate(b, g)
+        if a.requires_grad:
+            _accumulate(a, g, owned=False)
+        if b.requires_grad:
+            _accumulate(b, g, owned=False)
 
     return _record("add", out, (a, b), bwd)
 
@@ -177,8 +192,10 @@ def sub(a, b):
     out = Tensor(a.data - b.data)
 
     def bwd(g):
-        _accumulate(a, g)
-        _accumulate(b, -g)
+        if a.requires_grad:
+            _accumulate(a, g, owned=False)
+        if b.requires_grad:
+            _accumulate(b, -g)
 
     return _record("sub", out, (a, b), bwd)
 
@@ -189,8 +206,10 @@ def mul(a, b):
     out = Tensor(a.data * b.data)
 
     def bwd(g):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
+        if a.requires_grad:
+            _accumulate(a, g * b.data)
+        if b.requires_grad:
+            _accumulate(b, g * a.data)
 
     return _record("mul", out, (a, b), bwd)
 
@@ -208,7 +227,7 @@ def shift(a, c):
     out = Tensor(a.data + c)
 
     def bwd(g):
-        _accumulate(a, g)
+        _accumulate(a, g, owned=False)
 
     return _record("shift", out, (a,), bwd)
 
@@ -225,8 +244,16 @@ def matmul(a, b):
     out = Tensor(a.data @ b.data)
 
     def bwd(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        if a.requires_grad:
+            _accumulate(a, g @ b.data.T)
+            if b.requires_grad:
+                _accumulate(b, a.data.T @ g)
+        elif b.requires_grad:
+            # A constant left operand (proposal features) reaches the loss
+            # through a max over proposals, so most rows of g are zero; the
+            # weight adjoint sums only the rows that carry gradient.
+            rows = np.flatnonzero(g.any(axis=1))
+            _accumulate(b, a.data[rows].T @ g[rows])
 
     return _record("matmul", out, (a, b), bwd)
 
@@ -237,7 +264,7 @@ def transpose(a):
     out = Tensor(a.data.T)
 
     def bwd(g):
-        _accumulate(a, g.T)
+        _accumulate(a, g.T, owned=False)
 
     return _record("transpose", out, (a,), bwd)
 
@@ -247,7 +274,7 @@ def reshape(a, shape):
     out = Tensor(a.data.reshape(shape))
 
     def bwd(g):
-        _accumulate(a, g.reshape(orig))
+        _accumulate(a, g.reshape(orig), owned=False)
 
     return _record("reshape", out, (a,), bwd)
 
@@ -259,9 +286,10 @@ def concat(tensors, axis=0):
 
     def bwd(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            _accumulate(t, g[tuple(sl)])
+            if t.requires_grad:
+                sl = [slice(None)] * g.ndim
+                sl[axis] = slice(lo, hi)
+                _accumulate(t, g[tuple(sl)], owned=False)
 
     return _record("concat", out, tuple(tensors), bwd)
 
@@ -272,10 +300,9 @@ def take(a, indices):
     out = Tensor(a.data[idx])
 
     def bwd(g):
-        if a.requires_grad:
-            ga = np.zeros_like(a.data)
-            np.add.at(ga, idx, g)
-            _accumulate(a, ga)
+        ga = np.zeros_like(a.data)
+        np.add.at(ga, idx, g)
+        _accumulate(a, ga)
 
     return _record("take", out, (a,), bwd)
 
@@ -287,8 +314,10 @@ def add_rowvec(x, b):
     out = Tensor(x.data + b.data[None, :])
 
     def bwd(g):
-        _accumulate(x, g)
-        _accumulate(b, g.sum(axis=0))
+        if x.requires_grad:
+            _accumulate(x, g, owned=False)
+        if b.requires_grad:
+            _accumulate(b, g.sum(axis=0))
 
     return _record("add_rowvec", out, (x, b), bwd)
 
@@ -363,10 +392,9 @@ def max_last(x):
     out = Tensor(np.take_along_axis(x.data, arg[..., None], axis=-1)[..., 0])
 
     def bwd(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            np.put_along_axis(gx, arg[..., None], g[..., None], axis=-1)
-            _accumulate(x, gx)
+        gx = np.zeros_like(x.data)
+        np.put_along_axis(gx, arg[..., None], g[..., None], axis=-1)
+        _accumulate(x, gx)
 
     return _record("max_last", out, (x,), bwd), arg
 
@@ -412,8 +440,13 @@ def layer_norm_rows(x, gain, bias, eps=1e-6):
     out = Tensor(xhat * gain.data + bias.data)
 
     def bwd(g):
-        _accumulate(gain, (g * xhat).sum(axis=0) if g.ndim == 2 else g * xhat)
-        _accumulate(bias, g.sum(axis=0) if g.ndim == 2 else g)
+        if gain.requires_grad:
+            _accumulate(gain, (g * xhat).sum(axis=0) if g.ndim == 2 else g * xhat)
+        if bias.requires_grad:
+            if g.ndim == 2:
+                _accumulate(bias, g.sum(axis=0))
+            else:
+                _accumulate(bias, g, owned=False)
         if x.requires_grad:
             dxhat = g * gain.data
             _accumulate(x, (dxhat - dxhat.mean(axis=-1, keepdims=True)

@@ -21,18 +21,17 @@ def test_similarity_cube_matches_sigmoid_of_scaled_dots():
     rng = np.random.default_rng(0)
     d = 4
     Q = Tensor(rng.standard_normal((2, d)))
-    frames = [Tensor(rng.standard_normal((3, d))) for _ in range(5)]
-    cube = G.similarity_cube(Q, frames)
+    P = Tensor(rng.standard_normal((5 * 3, d)))  # 5 frames of 3 proposals
+    cube = G.similarity_cube(Q, P, 5)
     assert cube.a.shape == (2, 5, 3)
-    want = 1.0 / (1.0 + np.exp(-(Q.data @ frames[1].data.T) / math.sqrt(d)))
+    want = 1.0 / (1.0 + np.exp(-(Q.data @ P.data[3:6].T) / math.sqrt(d)))
     assert np.allclose(cube.a.data[:, 1, :], want)
     assert np.all(cube.a.data > 0) and np.all(cube.a.data < 1)
 
 
-def test_similarity_cube_rejects_ragged_frames():
-    Q = Tensor(np.zeros((1, 2)))
-    with pytest.raises(G.DataError):
-        G.similarity_cube(Q, [Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 2)))])
+def test_similarity_cube_rejects_rows_that_do_not_split_into_frames():
+    with pytest.raises(ShapeError, match="7 proposal rows"):
+        G.similarity_cube(Tensor(np.zeros((1, 2))), Tensor(np.zeros((7, 2))), 3)
 
 
 def test_frame_matching_score_mean_of_maxes():
@@ -229,14 +228,12 @@ def test_losses_differentiable_end_to_end():
     rng = np.random.default_rng(2)
     d = 3
     Q = Tensor(rng.standard_normal((2, d)), requires_grad=True)
-    feats = [rng.standard_normal((3, d)) for _ in range(4)]
-    nfeats = [rng.standard_normal((3, d)) for _ in range(4)]
+    feats = Tensor(rng.standard_normal((4 * 3, d)))   # 4 frames of 3
+    nfeats = Tensor(rng.standard_normal((4 * 3, d)))
 
     def f():
-        frames = [Tensor(x) for x in feats]
-        nframes = [Tensor(x) for x in nfeats]
-        pos = G.similarity_cube(Q, frames)
-        neg = G.similarity_cube(Q, nframes)
+        pos = G.similarity_cube(Q, feats, 4)
+        neg = G.similarity_cube(Q, nfeats, 4)
         rank = G.frame_ranking_loss(pos, [neg], [neg], delta=0.5)
         return G.weighted_segment_loss(pos, rank, 0.9)
 

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -42,6 +43,72 @@ def test_matmul_gradients():
     g = np.ones((2, 1))
     assert np.allclose(a.grad, g @ b.data.T)
     assert np.allclose(b.grad, a.data.T @ g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5),
+       st.booleans(), st.booleans(), st.integers(0, 2**31 - 1))
+def test_matmul_adjoints_under_every_requires_grad_combination(m, k, n, a_grad,
+                                                               b_grad, seed):
+    rng = np.random.default_rng(seed)
+    a = Tensor(rng.standard_normal((m, k)), requires_grad=a_grad)
+    b = Tensor(rng.standard_normal((k, n)), requires_grad=b_grad)
+    w = rng.standard_normal((m, n))
+    w[rng.random(m) < 0.5] = 0.0  # rows of g = d(loss)/d(a @ b) that are zero
+    weight = Tensor(w)
+
+    def f():
+        return T.sum_all(T.mul(a @ b, weight))
+
+    params = {name: t for name, t in (("a", a), ("b", b)) if t.requires_grad}
+    if not params:
+        with Tape() as tape:
+            f()
+        assert tape.nodes == []
+        return
+    err, where = finite_diff_check(f, params, step=1e-5)
+    assert err < 1e-6, where
+    if a_grad:
+        assert np.allclose(a.grad, w @ b.data.T, rtol=1e-12, atol=1e-12)
+    if b_grad:
+        assert np.allclose(b.grad, a.data.T @ w, rtol=1e-12, atol=1e-12)
+    assert all(t.grad is None for t in (a, b, weight) if not t.requires_grad)
+
+
+def test_pass_through_adjoints_do_not_share_grad_buffers():
+    a = Tensor([1.0, 2.0], requires_grad=True)
+    b = Tensor([3.0, 4.0], requires_grad=True)
+    with Tape():
+        p = T.scale(a, 3.0)    # recorded first, so its adjoint reaches a last
+        s = T.add(a, b)
+        backward(T.sum_all(T.add(s, p)))
+    assert np.array_equal(a.grad, [4.0, 4.0])
+    assert np.array_equal(b.grad, [1.0, 1.0])
+    assert np.array_equal(s.grad, [1.0, 1.0])
+
+
+def test_no_grad_in_another_thread_leaves_recording_alone():
+    w = Tensor([1.0, 2.0], requires_grad=True)
+    entered, release = threading.Event(), threading.Event()
+
+    def inference():
+        with T.no_grad():
+            entered.set()
+            release.wait(timeout=10)
+
+    worker = threading.Thread(target=inference)
+    try:
+        with Tape() as tape:
+            worker.start()
+            assert entered.wait(timeout=10)
+            loss = T.sum_all(T.mul(w, w))  # recorded while the worker is inside no_grad
+            backward(loss)
+    finally:
+        release.set()
+        worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert [node.name for node in tape.nodes] == ["mul", "sum_all"]
+    assert np.array_equal(w.grad, [2.0, 4.0])
 
 
 def test_sigmoid_values():

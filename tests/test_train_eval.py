@@ -1,11 +1,15 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from groundbox import tensor as T
+from groundbox.cli import GRADCHECK_DEFAULTS, GRADCHECK_TOLERANCE, gradcheck_all_modes
 from groundbox.config import GroundingConfig, LossMode
-from groundbox.data import BoundingBox, IntegrityError, generate_synthetic
+from groundbox.data import (BoundingBox, DataError, IntegrityError,
+                            generate_synthetic)
+from groundbox.encoders import ProposalEncoder
 from groundbox.evaluate import (EvalReport, box_accuracy, evaluate_model, iou,
                                 per_class_delta, upper_bound)
 from groundbox.model import GroundingModel, load_into_model
@@ -129,6 +133,60 @@ def test_segment_loss_finite_in_every_mode():
                                       training=True, rng=rng)
             backward(loss)
         assert np.isfinite(loss.item())
+
+
+def test_model_rejects_ragged_frames():
+    # frames of 4 and 5 proposals used to drop a proposal silently and
+    # mis-assign rows; frames of 5 and 3 raised a bare IndexError
+    _, splits = generate_synthetic(TINY)
+    seg = splits["val"][0]
+    pool = seg.frames[0] + seg.frames[1]
+    model = GroundingModel(TINY, np.random.default_rng(0))
+    for first, second in ((4, 5), (5, 3)):
+        ragged = dataclasses.replace(seg, frames=[pool[:first], pool[:second]],
+                                     gt=[])
+        want = (rf"segment {seg.segment_id} frame 1 has {second} proposals, "
+                rf"but segment {seg.segment_id} frame 0 has {first}")
+        with pytest.raises(DataError, match=want):
+            model.predict(ragged)
+        with pytest.raises(DataError, match=want):
+            model.segment_loss(ragged, [seg], [[0]], training=False,
+                               frame_indices=[0, 1])
+
+
+def test_segment_loss_encodes_proposals_once_per_segment(monkeypatch):
+    _, splits = generate_synthetic(TINY)
+    seg, nv1, nv2, ns = splits["train"][:4]
+    calls = []
+    encode = ProposalEncoder.encode
+
+    def counting(self, features, *args, **kwargs):
+        calls.append(features.shape[0])
+        return encode(self, features, *args, **kwargs)
+
+    monkeypatch.setattr(ProposalEncoder, "encode", counting)
+    for mode in LossMode:
+        model = GroundingModel(TINY.replace(mode=mode.value),
+                               np.random.default_rng(1))
+        calls.clear()
+        with Tape():
+            backward(model.segment_loss(seg, [nv1, nv2], [ns.query_labels],
+                                        training=True,
+                                        rng=np.random.default_rng(2)))
+        # the positive and both visual negatives in one (3*T*N, D_in) block
+        assert calls == [3 * TINY.T * TINY.N]
+
+
+def test_gradcheck_all_modes_at_a_second_shape():
+    # three blocks (positive + two visual negatives) of T=3 frames with N=6
+    # proposals each, O=3 queries: most proposal rows carry no gradient
+    cfg = GroundingConfig.from_dict({
+        **GRADCHECK_DEFAULTS, "N": 6, "T": 3, "frames_per_segment": 3,
+        "min_objects": 3, "max_objects": 3, "negatives": 2})
+    results = gradcheck_all_modes(cfg)
+    assert set(results) == set(LossMode)
+    worst = max(err for err, _ in results.values())
+    assert worst < GRADCHECK_TOLERANCE, results
 
 
 def test_load_into_model_mismatch_errors():
