@@ -101,15 +101,9 @@ class MultiHeadAttentionStack:
             x = layer.forward(x, training, rng)
         return x
 
-    __call__ = forward
-
     def params(self, prefix="attn"):
         out = {}
         for i, layer in enumerate(self.layers):
             out.update(layer.params(f"{prefix}.l{i}"))
         return out
 
-
-def self_attend(queries, stack, training=False, rng=None):
-    """Encode every object query against all others (no causal mask)."""
-    return stack.forward(queries, training, rng)

@@ -59,7 +59,6 @@ def _build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=["val", "test"], default="test")
     p.add_argument("--out", required=True, help="report.json path")
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("gradcheck",
                        help="finite-difference check of every loss mode")
@@ -120,7 +119,7 @@ def _cmd_eval(args):
     samples = splits.get(args.split, [])
     model = GroundingModel(config, np.random.default_rng(config.seed))
     load_into_model(model, flat)
-    report = evaluate_model(model, samples, workers=args.workers, vocab=vocab)
+    report = evaluate_model(model, samples, vocab=vocab)
     report.save(args.out, mode=config.mode.value, split=args.split)
     print(f"{args.split} macro accuracy {report.macro_accuracy:.4f} "
           f"(upper bound {report.upper_bound:.4f})", file=sys.stderr)

@@ -35,14 +35,12 @@ class GroundingConfig:
     T: int = 5
     T_prime: int = 5
     negatives: int = 1
-    penalty_halved_sum: bool = False
     # optimization
     lr: float = 0.05
     momentum: float = 0.9
     epochs: int = 30
     batch: int = 16
     seed: int = 0
-    workers: int = 1
     # synthetic data
     N: int = 20
     sigma: float = 0.1
@@ -77,19 +75,22 @@ class GroundingConfig:
             raise ConfigError(f"max_objects {self.max_objects} exceeds proposals per frame {self.N}")
         if self.min_objects < 1 or self.min_objects > self.max_objects:
             raise ConfigError("need 1 <= min_objects <= max_objects")
+        if self.max_objects > self.pe_max_len:
+            raise ConfigError(f"max_objects {self.max_objects} exceeds positional "
+                              f"table length pe_max_len {self.pe_max_len}")
+        if self.lr <= 0:
+            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
+        if self.sigma < 0:
+            raise ConfigError(f"sigma must be nonnegative, got {self.sigma}")
         for field in ("d", "D_in", "V", "T", "N", "epochs", "batch", "negatives",
-                      "frames_per_segment", "attn_layers", "attn_heads", "attn_hidden",
-                      "workers"):
+                      "frames_per_segment", "attn_layers", "attn_heads", "attn_hidden"):
             if getattr(self, field) < 1:
                 raise ConfigError(f"{field} must be >= 1, got {getattr(self, field)}")
         if not 0.0 < self.presence <= 1.0:
             raise ConfigError(f"presence must be in (0, 1], got {self.presence}")
         return self
-
-    def head_dim(self):
-        # "hidden size 256" with 6 heads: per-head width is hidden // heads,
-        # internal attention width rounds down to a multiple of the head count
-        return max(self.attn_hidden // self.attn_heads, 1)
 
     def replace(self, **kw):
         return dataclasses.replace(self, **kw)
@@ -102,6 +103,9 @@ class GroundingConfig:
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
+        unknown = sorted(set(d) - set(_FIELD_TYPES))
+        if unknown:
+            raise ConfigError(f"unknown config keys {unknown}")
         if "mode" in d and not isinstance(d["mode"], LossMode):
             if d["mode"] not in MODE_NAMES:
                 raise ConfigError(f"unknown mode {d['mode']!r}; choose from {sorted(MODE_NAMES)}")
@@ -115,14 +119,7 @@ _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(GroundingConfig)}
 def _coerce(key, raw):
     if key == "mode":
         return raw
-    ftype = _FIELD_TYPES[key]
-    if ftype is bool:
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"cannot parse boolean {key}={raw!r}")
-    if ftype is int:
+    if _FIELD_TYPES[key] is int:
         return int(raw)
     return float(raw)
 

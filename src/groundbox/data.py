@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .evaluate import iou
 from .tensor import ConfigError
 
 log = logging.getLogger(__name__)
@@ -102,13 +103,6 @@ class Vocabulary:
 # --------------------------------------------------------------------------
 # synthetic generation
 
-def _iou_np(a, b):
-    ix = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
-    iy = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
-    inter = ix * iy
-    return inter / (a.area() + b.area() - inter)
-
-
 def _random_box(rng, canvas):
     w = rng.uniform(0.08, 0.35) * canvas
     h = rng.uniform(0.08, 0.35) * canvas
@@ -121,7 +115,7 @@ def _distractor_box(rng, canvas, avoid):
     # grounding to a distractor must be unambiguously wrong: IoU < 0.5
     for _ in range(200):
         box = _random_box(rng, canvas)
-        if all(_iou_np(box, a) < 0.5 for a in avoid):
+        if all(iou(box, a) < 0.5 for a in avoid):
             return box
     raise SamplingError("could not place a distractor box with IoU < 0.5")
 

@@ -7,12 +7,8 @@ with at least one instance.
 """
 
 import json
-import logging
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-
-log = logging.getLogger(__name__)
 
 IOU_THRESHOLD = 0.5
 
@@ -95,31 +91,13 @@ def upper_bound(samples, vocab):
     return _report_from_tally(*_tally(samples, vocab, hit_fn)).macro_accuracy
 
 
-def evaluate_model(model, samples, workers=1, vocab=None):
-    """Ground every gt (query, frame) with the model and report box accuracy.
-
-    Per-class tallies merge associatively, so the report is identical for
-    any worker count.
-    """
+def evaluate_model(model, samples, vocab=None):
+    """Ground every gt (query, frame) with the model and report box accuracy."""
     if vocab is None:
         vocab = _IndexVocab(model.config.V)
-
-    def predict_chunk(chunk):
-        preds = {}
-        for seg in chunk:
-            for (k, f), proposal in model.predict(seg).items():
-                preds[(seg.segment_id, k, f)] = proposal.box
-        return preds
-
-    if workers > 1 and len(samples) > 1:
-        chunks = [samples[i::workers] for i in range(workers)]
-        predictions = {}
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(predict_chunk, chunks):
-                predictions.update(part)
-    else:
-        predictions = predict_chunk(samples)
-
+    predictions = {(seg.segment_id, k, f): proposal.box
+                   for seg in samples
+                   for (k, f), proposal in model.predict(seg).items()}
     report = box_accuracy(samples, predictions, vocab)
     report.upper_bound = upper_bound(samples, vocab)
     return report

@@ -6,7 +6,7 @@ import numpy as np
 
 from . import grounding as G
 from . import tensor as T
-from .attention import MultiHeadAttentionStack, self_attend
+from .attention import MultiHeadAttentionStack
 from .config import LossMode
 from .data import DataError, sample_frames
 from .encoders import ProposalEncoder, QueryEncoder
@@ -66,7 +66,7 @@ class GroundingModel:
         return G.similarity_cube(Q, P, len(frame_indices))
 
     def language_scores(self, Q, training, rng):
-        J = self_attend(Q, self.attn, training=training, rng=rng)
+        J = self.attn.forward(Q, training=training, rng=rng)
         return G.language_confidence(J, Q, self.lang_W, self.lang_b)
 
     def segment_loss(self, segment, neg_visual, neg_sentences,
@@ -108,8 +108,7 @@ class GroundingModel:
         if mode is LossMode.OBJECT_INTERACTION:
             return G.language_weighted_segment_loss(cube_pos, rank_vec, c_lang,
                                                     cfg.lam)
-        return G.combined_segment_loss(cube_pos, rank_vec, c_lang, cfg.lam,
-                                       halved_sum=cfg.penalty_halved_sum)
+        return G.combined_segment_loss(cube_pos, rank_vec, c_lang, cfg.lam)
 
     # ------------------------------------------------------------------
     # inference
@@ -126,7 +125,8 @@ class GroundingModel:
                 frame_indices = list(range(segment.n_frames))
         with no_grad():
             cube = self.cube(segment, frame_indices, training=False)
-        pick = G.ground_inference(cube)  # (O, len(frame_indices))
+        # (O, len(frame_indices)); np.argmax takes the lowest index on ties
+        pick = np.argmax(cube.a.data, axis=-1)
         return {(k, f): segment.frames[f][pick[k, t]]
                 for k in range(len(segment.query_labels))
                 for t, f in enumerate(frame_indices)}

@@ -110,7 +110,7 @@ def train(config, splits, out_dir=None, log_every=0):
 
         val_acc = float("nan")
         if val_set:
-            report = evaluate_model(model, val_set, workers=config.workers)
+            report = evaluate_model(model, val_set)
             val_acc = report.macro_accuracy
             if val_acc > best_acc:
                 best_acc = val_acc

@@ -7,6 +7,7 @@ from groundbox.cli import main
 from groundbox.config import (GroundingConfig, LossMode, load_config,
                               parse_config_file)
 from groundbox.data import load_segments
+from groundbox.model import GroundingModel
 from groundbox.tensor import ConfigError
 
 FAST = ("T=3\nT_prime=2\nd=8\nD_in=6\nV=12\nN=4\nattn_layers=1\nattn_heads=2\n"
@@ -27,11 +28,9 @@ def fast_cfg(tmp_path):
 
 def test_parse_config_file_types_and_comments(tmp_path):
     p = tmp_path / "c.cfg"
-    p.write_text("# comment\nlam = 0.8  # trailing\n\nT=7\n"
-                 "penalty_halved_sum=true\nmode=dvsa\n")
+    p.write_text("# comment\nlam = 0.8  # trailing\n\nT=7\nmode=dvsa\n")
     values = parse_config_file(p)
-    assert values == {"lam": 0.8, "T": 7, "penalty_halved_sum": True,
-                      "mode": "dvsa"}
+    assert values == {"lam": 0.8, "T": 7, "mode": "dvsa"}
 
 
 def test_parse_config_file_errors_carry_line_numbers(tmp_path):
@@ -53,7 +52,8 @@ def test_config_defaults_match_published_operating_point():
         (0.9, 0.1, 5, 128, 0.05, 0.9, 30, 16)
     assert c.mode is LossMode.FULL_MODEL
     assert (c.attn_layers, c.attn_heads, c.attn_hidden) == (2, 6, 256)
-    assert c.head_dim() == 42  # 256 // 6
+    # per-head width 256 // 6
+    assert GroundingModel(c).attn.layers[0].heads[0][0].shape == (128, 42)
 
 
 def test_config_validation_rejects_bad_values():
@@ -65,6 +65,37 @@ def test_config_validation_rejects_bad_values():
         GroundingConfig(T=3, T_prime=4).validate()
     with pytest.raises(ConfigError):
         GroundingConfig(mode="nonsense")
+
+
+def test_config_requires_a_positional_row_per_object():
+    GroundingConfig(max_objects=3, pe_max_len=3).validate()
+    with pytest.raises(ConfigError, match="pe_max_len 2"):
+        GroundingConfig(max_objects=3, pe_max_len=2).validate()
+
+
+def test_config_requires_positive_lr():
+    for lr in (0.0, -1.0):
+        with pytest.raises(ConfigError, match="lr"):
+            GroundingConfig(lr=lr).validate()
+
+
+def test_config_requires_momentum_in_unit_interval():
+    GroundingConfig(momentum=0.0).validate()
+    for momentum in (-0.1, 1.0, 1.5):
+        with pytest.raises(ConfigError, match="momentum"):
+            GroundingConfig(momentum=momentum).validate()
+
+
+def test_config_requires_nonnegative_sigma():
+    GroundingConfig(sigma=0.0).validate()
+    with pytest.raises(ConfigError, match="sigma"):
+        GroundingConfig(sigma=-0.1).validate()
+
+
+def test_config_from_dict_names_unknown_keys():
+    # a checkpoint config may carry fields this version does not have
+    with pytest.raises(ConfigError, match=r"\['bogus', 'workers'\]"):
+        GroundingConfig.from_dict({"workers": 2, "bogus": 1, "lam": 0.5})
 
 
 def test_load_config_precedence(tmp_path):

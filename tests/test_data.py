@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from groundbox.config import GroundingConfig
 from groundbox.data import (BoundingBox, DataError, IntegrityError,
-                            SamplingError, SegmentSample, Vocabulary, _iou_np,
+                            SamplingError, SegmentSample, Vocabulary,
                             generate_synthetic, load_segments,
                             sample_frames, sample_negative_sentence,
                             save_segments)
+from groundbox.evaluate import iou
 
 SMALL = GroundingConfig(V=12, D_in=8, N=5, frames_per_segment=6,
                         train_segments=4, val_segments=3, test_segments=3,
@@ -72,7 +73,7 @@ def test_generate_distractor_boxes_clear_of_truth():
                 if tuple(p.box.as_list()) in {tuple(b.as_list()) for b in gt_boxes}:
                     continue
                 for b in gt_boxes:
-                    assert _iou_np(p.box, b) < 0.5
+                    assert iou(p.box, b) < 0.5
 
 
 def test_generate_boxes_inside_canvas():
@@ -212,10 +213,3 @@ def test_load_reports_malformed_line_number(tmp_path):
     with pytest.raises(DataError, match="segments.jsonl:3"):
         load_segments(tmp_path)
 
-
-def test_iou_hand_example():
-    a = BoundingBox(0, 0, 10, 10)
-    b = BoundingBox(5, 0, 15, 10)
-    assert abs(_iou_np(a, b) - 1.0 / 3.0) < 1e-12
-    assert _iou_np(a, a) == 1.0
-    assert _iou_np(a, BoundingBox(20, 20, 30, 30)) == 0.0

@@ -14,7 +14,7 @@ from groundbox.tensor import ShapeError, Tensor
 def _cube(values):
     """Build a SimilarityCube directly from an (O, T, N) array of scores."""
     a = np.asarray(values, dtype=np.float64)
-    return G.SimilarityCube(Tensor(a), np.argmax(a, axis=-1))
+    return G.SimilarityCube(Tensor(a))
 
 
 def test_similarity_cube_matches_sigmoid_of_scaled_dots():
@@ -37,7 +37,7 @@ def test_similarity_cube_rejects_rows_that_do_not_split_into_frames():
 def test_frame_matching_score_mean_of_maxes():
     # two queries, one frame: maxes 0.9 and 0.5 -> C = 0.7
     cube = _cube([[[0.1, 0.9]], [[0.5, 0.2]]])
-    assert abs(G.confidence(cube, 0).item() - 0.7) < 1e-12
+    assert abs(cube.frame_scores().data[0] - 0.7) < 1e-12
 
 
 def test_segment_score_max_over_frames_and_proposals():
@@ -186,12 +186,22 @@ def test_combined_segment_loss_hand_example():
     assert abs(out.item() - 0.045) < 1e-12
 
 
-def test_combined_segment_loss_halved_sum_switch():
-    cube = _cube([[[0.6, 0.2]]])
-    out = G.combined_segment_loss(cube, Tensor([0.1]), Tensor([0.4]), 0.9,
-                                  halved_sum=True)
-    want = 0.9 * 0.5 * 0.1 - 0.1 * math.log(0.5)
-    assert abs(out.item() - want) < 1e-12
+@given(st.integers(1, 8), st.data())
+def test_combined_segment_loss_matches_printed_formula(Tn, data):
+    # (1/T) sum_t [lam * (C_t + C_lang^{t_s})/2 * L_t - (1-lam) * log(C_t + C_lang^{t_s})]
+    Tp = data.draw(st.integers(1, Tn))
+    lam = data.draw(st.floats(0.0, 1.0))
+    conf = st.floats(1e-3, 1.0 - 1e-3)
+    c = data.draw(st.lists(conf, min_size=Tn, max_size=Tn))
+    c_lang = data.draw(st.lists(conf, min_size=Tp, max_size=Tp))
+    rank = data.draw(st.lists(st.floats(0.0, 2.0), min_size=Tn, max_size=Tn))
+    cube = _cube([[[ct] for ct in c]])  # O=1, N=1: C_t = c[t-1]
+    out = G.combined_segment_loss(cube, Tensor(rank), Tensor(c_lang), lam)
+    want = 0.0
+    for t in range(1, Tn + 1):
+        s = c[t - 1] + c_lang[G.snippet_index(t, Tn, Tp) - 1]
+        want += lam * 0.5 * s * rank[t - 1] - (1.0 - lam) * math.log(s)
+    assert abs(out.item() - want / Tn) < 1e-12
 
 
 def test_combined_loss_spreads_snippets_over_frames():
@@ -217,11 +227,6 @@ def test_dvsa_loss_hand_example():
     sneg = _cube([[[0.3, 0.1]]])
     out = G.dvsa_segment_loss(pos, [vneg], [sneg], delta=0.1)
     assert abs(out.item() - 0.05) < 1e-12  # only the visual hinge is active
-
-
-def test_ground_inference_argmax_low_tie():
-    cube = _cube([[[0.4, 0.4, 0.1]]])
-    assert G.ground_inference(cube)[0, 0] == 0
 
 
 def test_losses_differentiable_end_to_end():

@@ -108,6 +108,19 @@ def test_model_predict_covers_all_gt_frames():
         assert any(prop.box == p.box for fr in seg.frames for p in fr)
 
 
+def test_predict_takes_lowest_index_on_ties():
+    # every proposal of the frame carries the same feature, so every query
+    # ties across all of them
+    _, splits = generate_synthetic(TINY)
+    seg = splits["val"][0]
+    feature = seg.frames[0][0].feature
+    tied = [dataclasses.replace(p, feature=feature) for p in seg.frames[0]]
+    model = GroundingModel(TINY, np.random.default_rng(0))
+    preds = model.predict(dataclasses.replace(seg, frames=[tied], gt=[]))
+    assert set(preds) == {(k, 0) for k in range(len(seg.query_labels))}
+    assert all(p is tied[0] for p in preds.values())
+
+
 def test_trainable_params_by_mode():
     base = GroundingModel(TINY, np.random.default_rng(0))
     full = set(base.params())
@@ -276,6 +289,7 @@ def test_iou_hand_values():
     a = BoundingBox(0, 0, 10, 10)
     assert abs(iou(a, BoundingBox(5, 0, 15, 10)) - 1 / 3) < 1e-12
     assert iou(a, a) == 1.0
+    assert iou(a, BoundingBox(20, 20, 30, 30)) == 0.0
 
 
 def test_box_accuracy_perfect_predictions():
@@ -326,14 +340,14 @@ def test_upper_bound_dominates_any_prediction():
         assert box_accuracy(samples, preds, vocab).macro_accuracy <= ub
 
 
-def test_evaluate_model_worker_invariance():
+def test_evaluate_model_order_invariance():
     vocab, samples = _one_gt_sample()
     model = GroundingModel(TINY, np.random.default_rng(3))
-    r1 = evaluate_model(model, samples, workers=1, vocab=vocab)
-    r4 = evaluate_model(model, samples, workers=4, vocab=vocab)
-    assert r1.per_class == r4.per_class
-    assert r1.macro_accuracy == r4.macro_accuracy
-    assert r1.upper_bound == r4.upper_bound
+    r1 = evaluate_model(model, samples, vocab=vocab)
+    r2 = evaluate_model(model, samples[::-1], vocab=vocab)
+    assert r1.per_class == r2.per_class
+    assert r1.macro_accuracy == r2.macro_accuracy
+    assert r1.upper_bound == r2.upper_bound
 
 
 def test_report_save_load_round_trip(tmp_path):
