@@ -2,18 +2,21 @@
 used to model interactions among the query objects.
 """
 
-import math
+import numpy as np
 
 from . import tensor as T
 from .tensor import ShapeError, Tensor
 from .encoders import PositionalEncoding
 
 
-def scaled_dot_attention(q, K, V):
-    """Softmax(q K^T / sqrt(d)) V, row convention.
+def scaled_dot_attention(q, K, V, heads=1):
+    """Softmax(q K^T / sqrt(d)) V, row convention, for each of ``heads`` heads.
 
-    q: (m, d) queries, K: (Tk, d) keys, V: (Tk, d) values -> (m, d_v).
-    Each output row is a convex combination of value rows.
+    q: (m, d) queries, K: (Tk, d) keys, V: (Tk, d_v) values -> (m, d_v).
+    With heads=H, head h attends with columns h*d/H..(h+1)*d/H of q and K
+    (logits scaled by 1/sqrt(d/H)) over its slice of V's columns; the heads'
+    outputs sit side by side. Each output row of a head is a convex combination of
+    that head's value rows.
     """
     if K.data.shape[0] < 1:
         raise ShapeError("scaled_dot_attention: empty key set")
@@ -23,18 +26,18 @@ def scaled_dot_attention(q, K, V):
     if K.data.shape[0] != V.data.shape[0]:
         raise ShapeError(
             f"key/value count mismatch: {K.data.shape} vs {V.data.shape}")
-    d = q.data.shape[1]
-    weights = T.softmax_rows(T.scale(q @ K.T, 1.0 / math.sqrt(d)))
-    return weights @ V
+    return T.multi_head_attention(q, K, V, heads)
 
 
 class _AttentionLayer:
     def __init__(self, d, heads, head_dim, ff_hidden, p_drop, rng):
-        self.heads = []
-        for _ in range(heads):
-            self.heads.append((T.uniform_init(rng, (d, head_dim), fan_in=d),
-                               T.uniform_init(rng, (d, head_dim), fan_in=d),
-                               T.uniform_init(rng, (d, head_dim), fan_in=d)))
+        # head h's q, k and v blocks are drawn in turn and sit in columns
+        # h*head_dim..(h+1)*head_dim of the layer's Wq, Wk and Wv
+        draws = [T.uniform_init(rng, (d, head_dim), fan_in=d).data
+                 for _ in range(3 * heads)]
+        self.Wq, self.Wk, self.Wv = (Tensor(np.hstack(draws[j::3]), requires_grad=True)
+                                     for j in range(3))
+        self.n_heads = heads
         attn_width = heads * head_dim
         self.Wo = T.uniform_init(rng, (attn_width, d), fan_in=attn_width)
         self.ln1_g = Tensor([1.0] * d, requires_grad=True)
@@ -48,9 +51,8 @@ class _AttentionLayer:
         self.p_drop = p_drop
 
     def forward(self, x, training, rng):
-        head_outs = [scaled_dot_attention(x @ Wq, x @ Wk, x @ Wv)
-                     for Wq, Wk, Wv in self.heads]
-        attn = T.concat(head_outs, axis=1) @ self.Wo
+        attn = scaled_dot_attention(x @ self.Wq, x @ self.Wk, x @ self.Wv,
+                                    heads=self.n_heads) @ self.Wo
         x = T.layer_norm_rows(T.add(x, T.dropout(attn, self.p_drop, training, rng)),
                               self.ln1_g, self.ln1_b)
         ff = T.add_rowvec(T.relu(T.add_rowvec(x @ self.W1, self.b1)) @ self.W2, self.b2)
@@ -58,12 +60,8 @@ class _AttentionLayer:
                                  self.ln2_g, self.ln2_b)
 
     def params(self, prefix):
-        out = {}
-        for i, (Wq, Wk, Wv) in enumerate(self.heads):
-            out[f"{prefix}.h{i}.Wq"] = Wq
-            out[f"{prefix}.h{i}.Wk"] = Wk
-            out[f"{prefix}.h{i}.Wv"] = Wv
-        out[f"{prefix}.Wo"] = self.Wo
+        out = {f"{prefix}.Wq": self.Wq, f"{prefix}.Wk": self.Wk,
+               f"{prefix}.Wv": self.Wv, f"{prefix}.Wo": self.Wo}
         out[f"{prefix}.ln1.g"] = self.ln1_g
         out[f"{prefix}.ln1.b"] = self.ln1_b
         out[f"{prefix}.ff.W1"] = self.W1

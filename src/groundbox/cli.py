@@ -9,6 +9,7 @@ optional GROUNDBOX_SEED environment variable overrides the seed unless
 import argparse
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .data import generate_synthetic, load_segments, save_segments
 from .evaluate import EvalReport, per_class_delta, evaluate_model
 from .gradcheck import finite_diff_check
 from .model import GroundingModel, load_into_model
+from .tensor import ConfigError, ShapeError
 from .train import checkpoint_load, train
 
 GRADCHECK_TOLERANCE = 1e-4
@@ -109,16 +111,23 @@ def _cmd_train(args):
 
 def _cmd_eval(args):
     flat, config_dict = checkpoint_load(args.checkpoint)
+    manifest = Path(args.checkpoint).with_suffix(".json")
     if config_dict is None:
-        raise ValueError("checkpoint carries no config; cannot rebuild model")
-    config = GroundingConfig.from_dict(config_dict)
+        raise ValueError(f"{manifest}: checkpoint carries no config; cannot rebuild model")
+    try:
+        config = GroundingConfig.from_dict(config_dict)
+    except ConfigError as exc:
+        raise ConfigError(f"{manifest}: {exc}") from exc
     vocab, splits = load_segments(args.data)
     if vocab.size != config.V:
         raise ValueError(f"dataset vocabulary has {vocab.size} labels, "
                          f"checkpoint was trained with V={config.V}")
     samples = splits.get(args.split, [])
     model = GroundingModel(config, np.random.default_rng(config.seed))
-    load_into_model(model, flat)
+    try:
+        load_into_model(model, flat)
+    except ShapeError as exc:
+        raise ShapeError(f"{manifest}: {exc}") from exc
     report = evaluate_model(model, samples, vocab=vocab)
     report.save(args.out, mode=config.mode.value, split=args.split)
     print(f"{args.split} macro accuracy {report.macro_accuracy:.4f} "

@@ -222,15 +222,38 @@ def sample_frames(n_frames, T, mode, rng=None):
     raise ConfigError(f"unknown sampling mode {mode!r}")
 
 
-def sample_negative_sentence(pool, positive, rng):
-    """Uniformly pick a pool segment whose label set is disjoint from the positive's."""
-    pos_labels = set(positive.query_labels)
-    eligible = [s for s in pool
-                if s is not positive and not pos_labels & set(s.query_labels)]
-    if not eligible:
+def label_members(pool):
+    """Boolean index of shape (len(pool), 1 + largest label): row i marks pool[i]'s labels."""
+    width = 1 + max((lab for s in pool for lab in s.query_labels), default=-1)
+    members = np.zeros((len(pool), width), dtype=bool)
+    for i, s in enumerate(pool):
+        members[i, s.query_labels] = True
+    return members
+
+
+def disjoint_rows(pool, members, positive):
+    """Positions, in pool order, of the segments other than positive whose
+    labels are disjoint from positive's; members is label_members(pool)."""
+    labels = [lab for lab in positive.query_labels if lab < members.shape[1]]
+    rows = np.flatnonzero(~members[:, labels].any(axis=1))
+    if not labels:  # nothing to share, so only identity excludes the positive
+        rows = [i for i in rows if pool[i] is not positive]
+    return rows
+
+
+def sample_negative_sentence(pool, positive, rng, members=None):
+    """Uniformly pick a pool segment whose label set is disjoint from the positive's.
+
+    members: label_members(pool), for callers that sample from one pool many
+    times; built here when omitted.
+    """
+    if members is None:
+        members = label_members(pool)
+    rows = disjoint_rows(pool, members, positive)
+    if len(rows) == 0:
         raise SamplingError(
-            f"no sentence with labels disjoint from {sorted(pos_labels)}")
-    return eligible[int(rng.integers(len(eligible)))]
+            f"no sentence with labels disjoint from {sorted(set(positive.query_labels))}")
+    return pool[rows[int(rng.integers(len(rows)))]]
 
 
 # --------------------------------------------------------------------------

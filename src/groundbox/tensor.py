@@ -10,6 +10,13 @@ or ``no_grad`` entered in one thread leaves recording in every other
 thread untouched. A tape and its tensors belong to the context that
 recorded them.
 
+A recorded tensor refers to its tape through a weak reference, so the tape
+(which holds every node and, through the nodes' closures, every activation)
+forms no reference cycle with its tensors: it is freed by reference
+counting as soon as nothing names it, normally when its ``with`` block
+ends. Run ``backward`` inside that block, or keep the tape
+(``with Tape() as tape:``).
+
 A node's backward computes an adjoint only for the inputs that have
 ``requires_grad``; the adjoint of a constant operand is never formed. The
 first adjoint written into a tensor is assigned, later ones are added in
@@ -20,6 +27,7 @@ the incoming gradient itself), so no two tensors share a grad buffer.
 
 import contextvars
 import math
+import weakref
 
 import numpy as np
 
@@ -43,6 +51,7 @@ class Tape:
 
     def __init__(self):
         self.nodes = []
+        self.ref = weakref.ref(self)  # what recorded tensors hold
 
     def __enter__(self):
         self._token = _ACTIVE_TAPE.set(self)
@@ -75,13 +84,18 @@ class _Node:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "tape")
+    __slots__ = ("data", "grad", "requires_grad", "_tape_ref")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
-        self.tape = None
+        self._tape_ref = None
+
+    @property
+    def tape(self):
+        """The live tape that recorded this tensor, or None (never recorded, or freed)."""
+        return None if self._tape_ref is None else self._tape_ref()
 
     @property
     def shape(self):
@@ -148,7 +162,7 @@ def _record(name, out, inputs, backward_fn):
     if tape is None or not any(t.requires_grad for t in inputs):
         return out
     out.requires_grad = True
-    out.tape = tape
+    out._tape_ref = tape.ref
     tape.nodes.append(_Node(name, out, backward_fn))
     return out
 
@@ -301,7 +315,10 @@ def take(a, indices):
 
     def bwd(g):
         ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
+        if np.unique(idx % len(ga)).size == idx.size:
+            ga[idx] = g  # no row is taken twice: assignment is the sum
+        else:
+            np.add.at(ga, idx, g)
         _accumulate(a, ga)
 
     return _record("take", out, (a,), bwd)
@@ -381,6 +398,46 @@ def softmax_rows(x):
         _accumulate(x, y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
     return _record("softmax_rows", out, (x,), bwd)
+
+
+def multi_head_attention(q, k, v, heads):
+    """softmax(q_h k_h^T / sqrt(w)) v_h for every head h at once.
+
+    q: (m, H*w), k: (n, H*w), v: (n, H*w_v); head h owns columns
+    h*w..(h+1)*w of q and k and h*w_v..(h+1)*w_v of v. Returns the heads
+    side by side, (m, H*w_v), as one tape node.
+    """
+    for name, t in (("q", q), ("k", k), ("v", v)):
+        if t.data.ndim != 2 or t.data.shape[1] % heads:
+            raise ShapeError(f"multi_head_attention: {name} of shape {t.data.shape} "
+                             f"does not split into {heads} heads")
+    (m, qw), (n, _), wv = q.data.shape, k.data.shape, v.data.shape[1] // heads
+    w = qw // heads
+    qh = q.data.reshape(m, heads, w).transpose(1, 0, 2)       # (H, m, w)
+    kh = k.data.reshape(n, heads, w).transpose(1, 0, 2)       # (H, n, w)
+    vh = v.data.reshape(n, heads, wv).transpose(1, 0, 2)      # (H, n, w_v)
+    s = 1.0 / math.sqrt(w)
+    z = (qh @ kh.transpose(0, 2, 1)) * s                      # (H, m, n)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = Tensor((p @ vh).transpose(1, 0, 2).reshape(m, heads * wv))
+
+    def merge(a):
+        return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
+
+    def bwd(g):
+        gh = g.reshape(m, heads, wv).transpose(1, 0, 2)       # (H, m, w_v)
+        if v.requires_grad:
+            _accumulate(v, merge(p.transpose(0, 2, 1) @ gh))
+        if q.requires_grad or k.requires_grad:
+            gp = gh @ vh.transpose(0, 2, 1)
+            gz = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * s
+            if q.requires_grad:
+                _accumulate(q, merge(gz @ kh))
+            if k.requires_grad:
+                _accumulate(k, merge(gz.transpose(0, 2, 1) @ qh))
+
+    return _record("multi_head_attention", out, (q, k, v), bwd)
 
 
 def max_last(x):

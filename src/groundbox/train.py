@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .data import IntegrityError, sample_negative_sentence
+from .data import (IntegrityError, SamplingError, disjoint_rows, label_members,
+                   sample_negative_sentence)
 from .evaluate import evaluate_model
 from .model import GroundingModel, load_into_model
 from .tensor import ShapeError, Tape, backward
@@ -40,7 +41,11 @@ class NesterovSGD:
                 t.data = t.data + self.momentum * self.velocity[name]
 
     def step(self):
-        """Apply the update using gradients accumulated at the lookahead point."""
+        """Apply the update using gradients accumulated at the lookahead point.
+
+        Every gradient is checked before any parameter moves: a missing one
+        raises ShapeError, a non-finite one FloatingPointError naming it.
+        """
         if self._base is None:
             # grads were taken at theta itself (no lookahead call)
             self._base = {name: t.data.copy() for name, t in self.params.items()}
@@ -48,6 +53,9 @@ class NesterovSGD:
             if t.grad is None:
                 raise ShapeError(f"parameter {name} has no gradient; "
                                  "run backward before step")
+            if not np.isfinite(t.grad).all():
+                raise FloatingPointError(f"non-finite gradient in {name}")
+        for name, t in self.params.items():
             v = self.momentum * self.velocity[name] - self.lr * t.grad
             self.velocity[name] = v
             t.data = self._base[name] + v
@@ -71,7 +79,8 @@ def train(config, splits, out_dir=None, log_every=0):
 
     history rows: (epoch, train_loss, val_accuracy). The checkpoint with the
     best validation macro accuracy wins; it is restored into the returned
-    model and written to out_dir if given.
+    model and written to out_dir if given. Raises SamplingError before the
+    first epoch when a train segment has no label-disjoint negative.
     """
     rng = np.random.default_rng(config.seed)
     model = GroundingModel(config, rng)
@@ -79,6 +88,12 @@ def train(config, splits, out_dir=None, log_every=0):
     opt = NesterovSGD(params, config.lr, config.momentum)
     train_set = splits["train"]
     val_set = splits.get("val", [])
+    members = label_members(train_set)
+    for seg in train_set:
+        if len(disjoint_rows(train_set, members, seg)) == 0:
+            raise SamplingError(
+                f"train segment {seg.segment_id!r} has no negative: every other "
+                f"segment shares a label with {sorted(set(seg.query_labels))}")
 
     history = []
     best_acc = -1.0
@@ -95,9 +110,10 @@ def train(config, splits, out_dir=None, log_every=0):
                 # both negative kinds come from label-disjoint pool segments:
                 # a visual negative that contains the query object would
                 # penalize the very match being learned
-                neg_viss = [sample_negative_sentence(train_set, seg, rng)
+                neg_viss = [sample_negative_sentence(train_set, seg, rng, members)
                             for _ in range(config.negatives)]
-                neg_sents = [sample_negative_sentence(train_set, seg, rng).query_labels
+                neg_sents = [sample_negative_sentence(train_set, seg, rng,
+                                                      members).query_labels
                              for _ in range(config.negatives)]
                 with Tape():
                     loss = model.segment_loss(seg, neg_viss, neg_sents,

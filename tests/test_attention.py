@@ -93,8 +93,8 @@ def test_stack_rows_are_finite_and_normalized():
 def test_stack_param_count_and_names():
     stack = _stack(positional=True)
     params = stack.params()
-    assert "attn.l0.h0.Wq" in params and "attn.l1.ff.W2" in params
-    assert len(params) == 2 * (3 * 3 + 9)  # per layer: 3 heads x Wq/Wk/Wv + 9
+    assert "attn.l0.Wq" in params and "attn.l1.ff.W2" in params
+    assert len(params) == 2 * (3 + 9)  # per layer: Wq/Wk/Wv for all heads + 9
 
 
 def test_stack_gradcheck():

@@ -52,8 +52,8 @@ def test_config_defaults_match_published_operating_point():
         (0.9, 0.1, 5, 128, 0.05, 0.9, 30, 16)
     assert c.mode is LossMode.FULL_MODEL
     assert (c.attn_layers, c.attn_heads, c.attn_hidden) == (2, 6, 256)
-    # per-head width 256 // 6
-    assert GroundingModel(c).attn.layers[0].heads[0][0].shape == (128, 42)
+    # per-head width 256 // 6, six heads side by side
+    assert GroundingModel(c).attn.layers[0].Wq.shape == (128, 252)
 
 
 def test_config_validation_rejects_bad_values():
@@ -202,6 +202,35 @@ def test_cli_eval_vocab_mismatch_exits_1(tmp_path, fast_cfg, capsys):
                  "--data", str(other), "--out", str(tmp_path / "r.json")])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_eval_load_errors_name_the_checkpoint(tmp_path, fast_cfg, capsys):
+    data = tmp_path / "data"
+    run = tmp_path / "run"
+    main(["gen-data", "--config", fast_cfg, "--out", str(data)])
+    main(["train", "--config", fast_cfg, "--data", str(data),
+          "--mode", "full", "--out", str(run)])
+    manifest_path = run / "checkpoint.json"
+    manifest = json.loads(manifest_path.read_text())
+
+    def eval_error(edit):
+        edited = json.loads(json.dumps(manifest))
+        edit(edited)
+        manifest_path.write_text(json.dumps(edited))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(run / "checkpoint"),
+                     "--data", str(data), "--out", str(tmp_path / "r.json")]) == 1
+        return capsys.readouterr().err
+
+    err = eval_error(lambda m: m["config"].update(workers=1))
+    assert str(manifest_path) in err and "unknown config keys ['workers']" in err
+
+    def old_head_names(m):  # a parameter named as before the heads were fused
+        m["params"] = {k.replace("attn.l0.Wq", "attn.l0.h0.Wq"): v
+                       for k, v in m["params"].items()}
+
+    err = eval_error(old_head_names)
+    assert str(manifest_path) in err and "missing ['attn.l0.Wq']" in err
 
 
 def test_cli_train_missing_data_exits_1(tmp_path, fast_cfg, capsys):

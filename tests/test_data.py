@@ -2,13 +2,13 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groundbox.config import GroundingConfig
 from groundbox.data import (BoundingBox, DataError, IntegrityError,
                             SamplingError, SegmentSample, Vocabulary,
-                            generate_synthetic, load_segments,
+                            generate_synthetic, label_members, load_segments,
                             sample_frames, sample_negative_sentence,
                             save_segments)
 from groundbox.evaluate import iou
@@ -145,6 +145,42 @@ def test_sample_negative_sentence_exhausted():
     other = SegmentSample("b", "train", [2, 3], [[]], None)
     with pytest.raises(SamplingError):
         sample_negative_sentence([seg, other], seg, np.random.default_rng(0))
+
+
+def _scan_negative(pool, positive, rng):
+    """The pool scan that label_members replaced, kept as the reference."""
+    pos_labels = set(positive.query_labels)
+    eligible = [s for s in pool
+                if s is not positive and not pos_labels & set(s.query_labels)]
+    if not eligible:
+        raise SamplingError("none")
+    return eligible[int(rng.integers(len(eligible)))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 7), max_size=4), min_size=1, max_size=12),
+       st.lists(st.integers(0, 9), max_size=4), st.integers(-1, 11),
+       st.integers(0, 2**31 - 1))
+def test_indexed_negative_sampling_matches_pool_scan(label_sets, outside_labels,
+                                                    pos_at, seed):
+    pool = [SegmentSample(f"s{i}", "train", labels, [[]], None)
+            for i, labels in enumerate(label_sets)]
+    # pos_at indexes the pool, or names a positive from outside it
+    positive = (pool[pos_at] if 0 <= pos_at < len(pool)
+                else SegmentSample("out", "train", outside_labels, [[]], None))
+    members = label_members(pool)
+    for draw in range(3):
+        rng_scan, rng_index = (np.random.default_rng(seed + draw) for _ in range(2))
+        try:
+            want = _scan_negative(pool, positive, rng_scan)
+        except SamplingError:
+            with pytest.raises(SamplingError):
+                sample_negative_sentence(pool, positive, rng_index, members)
+            continue
+        assert sample_negative_sentence(pool, positive, rng_index, members) is want
+        assert rng_index.bit_generator.state == rng_scan.bit_generator.state
+        assert sample_negative_sentence(pool, positive,
+                                        np.random.default_rng(seed + draw)) is want
 
 
 def test_save_load_round_trip(tmp_path):

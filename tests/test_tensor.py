@@ -283,3 +283,80 @@ def test_finite_diff_composed_graph():
 
     err, _ = finite_diff_check(f, {"W": W, "b": b}, step=1e-5)
     assert err < 1e-4
+
+
+def _attention_reference(q, k, v, heads):
+    """Each head on its own column slices, then the heads side by side."""
+    w, wv = q.shape[1] // heads, v.shape[1] // heads
+    outs = []
+    for h in range(heads):
+        z = q[:, h * w:(h + 1) * w] @ k[:, h * w:(h + 1) * w].T / math.sqrt(w)
+        p = np.exp(z - z.max(axis=1, keepdims=True))
+        outs.append(p / p.sum(axis=1, keepdims=True) @ v[:, h * wv:(h + 1) * wv])
+    return np.hstack(outs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(1, 3),
+       st.integers(1, 3), st.booleans(), st.booleans(), st.booleans(),
+       st.integers(0, 2**31 - 1))
+def test_multi_head_attention_matches_per_head_reference(m, n, heads, w, wv, q_grad,
+                                                         k_grad, v_grad, seed):
+    rng = np.random.default_rng(seed)
+    q = Tensor(rng.standard_normal((m, heads * w)), requires_grad=q_grad)
+    k = Tensor(rng.standard_normal((n, heads * w)), requires_grad=k_grad)
+    v = Tensor(rng.standard_normal((n, heads * wv)), requires_grad=v_grad)
+    weight = Tensor(rng.standard_normal((m, heads * wv)))
+    out = T.multi_head_attention(q, k, v, heads)
+    assert out.shape == (m, heads * wv)
+    assert np.max(np.abs(out.data - _attention_reference(q.data, k.data, v.data,
+                                                         heads))) < 1e-12
+
+    def f():
+        return T.sum_all(T.mul(T.multi_head_attention(q, k, v, heads), weight)).item()
+
+    with Tape() as tape:
+        out = T.multi_head_attention(q, k, v, heads)
+        if tape.nodes:
+            backward(T.sum_all(T.mul(out, weight)))
+    assert [n.name for n in tape.nodes[:1]] == (
+        ["multi_head_attention"] if q_grad or k_grad or v_grad else [])
+    for t in (q, k, v):
+        if not t.requires_grad:
+            assert t.grad is None
+            continue
+        # central differences, compared with an absolute floor: softmax
+        # saturation makes some adjoint entries ~1e-7, where a relative
+        # error only measures the differencing noise
+        numeric = np.zeros_like(t.data)
+        for i in np.ndindex(t.data.shape):
+            orig = t.data[i]
+            t.data[i] = orig + 1e-6
+            up = f()
+            t.data[i] = orig - 1e-6
+            numeric[i] = (up - f()) / 2e-6
+            t.data[i] = orig
+        assert np.allclose(t.grad, numeric, rtol=1e-6, atol=1e-8)
+
+
+def test_multi_head_attention_rejects_widths_that_do_not_split():
+    with pytest.raises(ShapeError, match="2 heads"):
+        T.multi_head_attention(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 3))),
+                               Tensor(np.ones((4, 4))), 2)
+    with pytest.raises(ShapeError, match="v of shape"):
+        T.multi_head_attention(Tensor(np.ones((2, 4))), Tensor(np.ones((4, 4))),
+                               Tensor(np.ones((4, 3))), 2)
+
+
+def test_take_repeated_indices_sum_and_unique_indices_assign():
+    rng = np.random.default_rng(4)
+    a = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+    g = rng.standard_normal((4, 3))
+    for idx in ([3, 1, 3, 3], [4, 0, 2, -4]):  # -4 is row 1: no repeat
+        a.grad = None
+        with Tape():
+            backward(T.sum_all(T.mul(T.take(a, idx), Tensor(g))))
+        want = np.zeros_like(a.data)
+        np.add.at(want, np.asarray(idx), g)
+        assert np.array_equal(a.grad, want)
+    assert np.array_equal(a.grad[1], g[3])

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from groundbox import tensor as T
 from groundbox.cli import GRADCHECK_DEFAULTS, GRADCHECK_TOLERANCE, gradcheck_all_modes
 from groundbox.config import GroundingConfig, LossMode
 from groundbox.data import (BoundingBox, DataError, IntegrityError,
-                            generate_synthetic)
+                            SamplingError, generate_synthetic)
 from groundbox.encoders import ProposalEncoder
 from groundbox.evaluate import (EvalReport, box_accuracy, evaluate_model, iou,
                                 per_class_delta, upper_bound)
@@ -87,7 +89,7 @@ def test_nesterov_step_without_grad_raises():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
 def test_check_nan_names_first_offending_op():
     x = Tensor(np.array([1e200]), requires_grad=True)
-    with Tape():
+    with Tape() as tape:  # tensors hold their tape weakly; keep it alive
         loss = T.sum_all(T.mul(T.mul(x, x), T.mul(x, x)))  # overflows to inf
         bad = T.mul(loss, loss)
     with pytest.raises(FloatingPointError, match="mul"):
@@ -376,3 +378,47 @@ def test_per_class_delta_rejects_mismatched_classes():
     b = EvalReport(per_class={"y": {"acc": 1.0, "n": 1}})
     with pytest.raises(ValueError):
         per_class_delta(a, b)
+
+
+@pytest.mark.parametrize("mode", list(LossMode))
+def test_tape_is_freed_by_reference_counting(mode):
+    _, splits = generate_synthetic(TINY)
+    seg, nv, ns = splits["train"][:3]
+    model = GroundingModel(TINY.replace(mode=mode.value), np.random.default_rng(1))
+    tape = Tape()
+    ref = weakref.ref(tape)
+    gc.disable()
+    try:
+        with tape:
+            loss = model.segment_loss(seg, [nv], [ns.query_labels],
+                                      training=True, rng=np.random.default_rng(2))
+            backward(loss)
+        assert loss.tape is tape and len(tape.nodes) > 10
+        del tape
+        assert ref() is None and loss.tape is None
+    finally:
+        gc.enable()
+
+
+def test_nesterov_step_rejects_non_finite_gradient():
+    theta = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    other = Tensor(np.array([3.0]), requires_grad=True)
+    opt = NesterovSGD({"other": other, "theta": theta}, lr=0.1, momentum=0.9)
+    other.grad = np.array([1.0])
+    with Tape():
+        backward(T.sum_all(T.scale(theta, np.inf)))  # inf * 1 in every entry
+    assert np.isinf(theta.grad).all()
+    with pytest.raises(FloatingPointError, match="non-finite gradient in theta"):
+        opt.step()
+    assert other.data[0] == 3.0  # no parameter moved
+
+
+def test_train_names_a_segment_without_negatives():
+    _, splits = generate_synthetic(TINY)
+    pool = splits["train"]
+    loner = dataclasses.replace(pool[2], segment_id="loner",
+                                query_labels=sorted({lab for s in pool
+                                                     for lab in s.query_labels}))
+    splits = dict(splits, train=pool[:2] + [loner] + pool[3:])
+    with pytest.raises(SamplingError, match="'loner'"):
+        train(TINY, splits)
