@@ -23,7 +23,7 @@ print(f"\nsegment {seg.segment_id}: {seg.n_frames} frames, "
 print("query objects:", [vocab[i] for i in seg.query_labels])
 for g in seg.gt[:6]:
     print(f"  gt: query {vocab[seg.query_labels[g.query]]:>6s} "
-          f"frame {g.frame} box {[round(v, 1) for v in g.box.as_list()]}")
+          f"frame {g.frame} box {[round(v, 1) for v in g.box.tolist()]}")
 
 print("\ntrain segments carry no ground truth:",
       all(s.gt is None for s in splits["train"]))

@@ -7,9 +7,8 @@ training, and IoU-based box-accuracy evaluation.
 """
 
 from .config import GroundingConfig, LossMode
-from .data import (BoundingBox, Proposal, SegmentSample, Vocabulary,
-                   generate_synthetic, load_segments, sample_frames,
-                   sample_negative_sentence, save_segments)
+from .data import (SegmentSample, Vocabulary, generate_synthetic, load_segments,
+                   sample_frames, sample_negative_sentence, save_segments)
 from .evaluate import EvalReport, box_accuracy, evaluate_model, iou, \
     per_class_delta, upper_bound
 from .gradcheck import finite_diff_check

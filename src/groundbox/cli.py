@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import MODE_NAMES, GroundingConfig, parse_config_file
-from .data import generate_synthetic, load_segments, save_segments
+from .data import DataError, generate_synthetic, load_segments, save_segments
 from .evaluate import EvalReport, per_class_delta, evaluate_model
 from .gradcheck import finite_diff_check
 from .model import GroundingModel, load_into_model
@@ -88,6 +88,19 @@ def _config_from_args(args, extra_defaults=None):
     return GroundingConfig.from_dict(values)
 
 
+def _load_dataset(data_dir, config, source):
+    """load_segments, refusing a dataset whose V or D_in differs from source's."""
+    vocab, splits = load_segments(data_dir)
+    if vocab.size != config.V:
+        raise DataError(f"{Path(data_dir) / 'vocabulary.txt'} holds {vocab.size} "
+                        f"labels, but {source} has V={config.V}")
+    dims = {seg.frames.feature.shape[-1] for segs in splits.values() for seg in segs}
+    if dims - {config.D_in}:
+        raise DataError(f"{Path(data_dir) / 'features.json'}: dim {dims.pop()}, "
+                        f"but {source} has D_in={config.D_in}")
+    return vocab, splits
+
+
 def _cmd_gen_data(args):
     config = _config_from_args(args)
     vocab, splits = generate_synthetic(config)
@@ -99,10 +112,7 @@ def _cmd_gen_data(args):
 
 def _cmd_train(args):
     config = _config_from_args(args)
-    vocab, splits = load_segments(args.data)
-    if vocab.size != config.V:
-        raise ValueError(f"dataset vocabulary has {vocab.size} labels, "
-                         f"config expects V={config.V}")
+    vocab, splits = _load_dataset(args.data, config, "the config")
     model, history = train(config, splits, out_dir=args.out)
     print(f"trained {config.mode.value} for {config.epochs} epochs; "
           f"final train_loss={history[-1][1]:.4f}", file=sys.stderr)
@@ -118,10 +128,7 @@ def _cmd_eval(args):
         config = GroundingConfig.from_dict(config_dict)
     except ConfigError as exc:
         raise ConfigError(f"{manifest}: {exc}") from exc
-    vocab, splits = load_segments(args.data)
-    if vocab.size != config.V:
-        raise ValueError(f"dataset vocabulary has {vocab.size} labels, "
-                         f"checkpoint was trained with V={config.V}")
+    vocab, splits = _load_dataset(args.data, config, manifest)
     samples = splits.get(args.split, [])
     model = GroundingModel(config, np.random.default_rng(config.seed))
     try:

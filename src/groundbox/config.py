@@ -142,11 +142,3 @@ def parse_config_file(path):
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
-
-
-def load_config(path=None, overrides=None):
-    """Build a GroundingConfig with precedence: overrides > file > defaults."""
-    values = parse_config_file(path) if path else {}
-    if overrides:
-        values.update({k: v for k, v in overrides.items() if v is not None})
-    return GroundingConfig.from_dict(values)

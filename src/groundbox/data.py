@@ -10,13 +10,11 @@ On-disk layout (one directory):
 
 import json
 import logging
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .evaluate import iou
 from .tensor import ConfigError
 
 log = logging.getLogger(__name__)
@@ -36,39 +34,15 @@ class SamplingError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class BoundingBox:
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-
-    def __post_init__(self):
-        vals = (self.x1, self.y1, self.x2, self.y2)
-        if not all(math.isfinite(v) and v >= 0 for v in vals):
-            raise DataError(f"box coordinates must be finite and nonnegative: {vals}")
-        if not (self.x1 < self.x2 and self.y1 < self.y2):
-            raise DataError(f"box must have positive area: {vals}")
-
-    def area(self):
-        return (self.x2 - self.x1) * (self.y2 - self.y1)
-
-    def as_list(self):
-        return [self.x1, self.y1, self.x2, self.y2]
+def proposal_dtype(D_in):
+    """Record of one proposal: its box (x1, y1, x2, y2) and its feature row."""
+    return np.dtype([("box", "<f8", (4,)), ("feature", "<f4", (D_in,))])
 
 
-@dataclass
-class Proposal:
-    box: BoundingBox
-    feature: np.ndarray  # (D_in,) float32
-
-
-@dataclass
-class GtRecord:
-    query: int   # index into query_labels
-    frame: int   # raw frame id within the segment
-    box: BoundingBox
-    visible: bool = True
+# one ground-truth record: query (index into query_labels) is visible at
+# frame (raw frame id within the segment) inside box
+GT_DTYPE = np.dtype([("query", "<i8"), ("frame", "<i8"), ("box", "<f8", (4,)),
+                     ("visible", "?")])
 
 
 @dataclass
@@ -76,8 +50,8 @@ class SegmentSample:
     segment_id: str
     split: str
     query_labels: list        # ordered vocab ids, as in the sentence
-    frames: list              # frames[t] = list of N Proposals
-    gt: list = None           # GtRecords; present iff split is val/test
+    frames: np.recarray       # (F, N) proposal_dtype records
+    gt: np.recarray = None    # (G,) GT_DTYPE records; present iff split is val/test
 
     @property
     def n_frames(self):
@@ -108,14 +82,24 @@ def _random_box(rng, canvas):
     h = rng.uniform(0.08, 0.35) * canvas
     x1 = rng.uniform(0, canvas - w)
     y1 = rng.uniform(0, canvas - h)
-    return BoundingBox(round(x1, 2), round(y1, 2), round(x1 + w, 2), round(y1 + h, 2))
+    return (round(x1, 2), round(y1, 2), round(x1 + w, 2), round(y1 + h, 2))
+
+
+def _iou4(a, b):
+    """evaluate.iou of two 4-tuples in Python floats: the distractor test runs
+    once per candidate box, where a numpy call costs several times more."""
+    ix = max(0.0, min(a[2], b[2]) - max(a[0], b[0]))
+    iy = max(0.0, min(a[3], b[3]) - max(a[1], b[1]))
+    inter = ix * iy
+    return inter / ((a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1])
+                    - inter)
 
 
 def _distractor_box(rng, canvas, avoid):
     # grounding to a distractor must be unambiguously wrong: IoU < 0.5
     for _ in range(200):
         box = _random_box(rng, canvas)
-        if all(iou(box, a) < 0.5 for a in avoid):
+        if all(_iou4(box, a) < 0.5 for a in avoid):
             return box
     raise SamplingError("could not place a distractor box with IoU < 0.5")
 
@@ -160,34 +144,29 @@ def generate_synthetic(config, seed=None):
             spans.append(range(start, start + span))
             true_boxes.append(_random_box(rng, config.canvas))
 
-        frames = []
+        frames = np.recarray((F, N), dtype=proposal_dtype(D_in))
+        features, boxes = frames.feature, frames.box
         gt = []
         for f in range(F):
             present = [k for k in range(O) if f in spans[k]]
             slots = rng.permutation(N)[: len(present)]
-            slot_of = dict(zip(present, slots))
+            owner_of = dict(zip(slots.tolist(), present))
             avoid = [true_boxes[k] for k in present]
-            proposals = []
             for i in range(N):
-                owner = next((k for k, s in slot_of.items() if s == i), None)
-                if owner is not None:
-                    feat = protos[proto_of[query_labels[owner]]] \
-                        + config.sigma * rng.standard_normal(D_in)
-                    proposals.append(Proposal(true_boxes[owner],
-                                              feat.astype(np.float32)))
-                else:
-                    # fresh noise at prototype scale: distractors never echo a
-                    # planted prototype, so cross-segment negatives stay clean
-                    feat = rng.standard_normal(D_in) \
-                        + config.sigma * rng.standard_normal(D_in)
-                    proposals.append(Proposal(_distractor_box(rng, config.canvas, avoid),
-                                              feat.astype(np.float32)))
-            frames.append(proposals)
-            for k in present:
-                gt.append(GtRecord(query=k, frame=f, box=true_boxes[k], visible=True))
+                owner = owner_of.get(i)
+                # a distractor gets fresh noise at prototype scale, so it never
+                # echoes a planted prototype and cross-segment negatives stay
+                # clean; its feature is drawn before its box
+                base = rng.standard_normal(D_in) if owner is None \
+                    else protos[proto_of[query_labels[owner]]]
+                features[f, i] = base + config.sigma * rng.standard_normal(D_in)
+                boxes[f, i] = _distractor_box(rng, config.canvas, avoid) \
+                    if owner is None else true_boxes[owner]
+            gt.extend((k, f, true_boxes[k], True) for k in present)
 
         return SegmentSample(segment_id=sid, split=split, query_labels=query_labels,
-                             frames=frames, gt=gt if split != "train" else None)
+                             frames=frames, gt=None if split == "train" else
+                             np.array(gt, dtype=GT_DTYPE).view(np.recarray))
 
     splits = {}
     for split, count in (("train", config.train_segments),
@@ -265,27 +244,27 @@ def save_segments(out_dir, vocab, splits):
     (out_dir / "vocabulary.txt").write_text(
         "".join(lab + "\n" for lab in vocab.labels), encoding="utf-8")
 
-    rows = []
-    lines = []
+    blocks, lines, n_rows = [], [], 0
     for split in sorted(splits):
         for seg in splits[split]:
-            frames_json = []
-            for props in seg.frames:
-                frame_json = []
-                for p in props:
-                    frame_json.append({"box": p.box.as_list(), "feat_row": len(rows)})
-                    rows.append(p.feature)
-                frames_json.append({"proposals": frame_json})
+            F, N = seg.frames.shape
+            frames_json = [{"proposals": [{"box": box, "feat_row": n_rows + f * N + i}
+                                          for i, box in enumerate(frame)]}
+                           for f, frame in enumerate(seg.frames.box.tolist())]
+            n_rows += F * N
+            blocks.append(seg.frames.feature.reshape(F * N, -1))
+            gt = seg.gt
             rec = {"segment_id": seg.segment_id, "split": split,
                    "query_labels": seg.query_labels, "frames": frames_json,
-                   "gt": None if seg.gt is None else
-                   [{"query": g.query, "frame": g.frame, "box": g.box.as_list(),
-                     "visible": g.visible} for g in seg.gt]}
+                   "gt": None if gt is None else
+                   [{"query": q, "frame": f, "box": box, "visible": v}
+                    for q, f, box, v in zip(gt.query.tolist(), gt.frame.tolist(),
+                                            gt.box.tolist(), gt.visible.tolist())]}
             lines.append(json.dumps(rec, separators=(",", ":")))
     (out_dir / "segments.jsonl").write_text("".join(l + "\n" for l in lines),
                                             encoding="utf-8")
 
-    feat = np.stack(rows).astype("<f4") if rows else np.zeros((0, 0), dtype="<f4")
+    feat = np.concatenate(blocks) if n_rows else np.zeros((0, 0), dtype="<f4")
     (out_dir / "features.bin").write_bytes(feat.tobytes())
     (out_dir / "features.json").write_text(
         json.dumps({"rows": int(feat.shape[0]),
@@ -294,7 +273,11 @@ def save_segments(out_dir, vocab, splits):
 
 
 def load_segments(data_dir):
-    """Inverse of save_segments; returns (vocab, {split: [SegmentSample]})."""
+    """Inverse of save_segments; returns (vocab, {split: [SegmentSample]}).
+
+    Every record is validated as it is read; a fault raises DataError naming
+    segments.jsonl:<line> and the field.
+    """
     data_dir = Path(data_dir)
     vocab = Vocabulary((data_dir / "vocabulary.txt")
                        .read_text(encoding="utf-8").splitlines())
@@ -305,29 +288,70 @@ def load_segments(data_dir):
     if len(raw) != expected:
         raise IntegrityError(
             f"features.bin holds {len(raw)} bytes, manifest expects {expected}")
-    feats = np.frombuffer(raw, dtype="<f4").reshape(manifest["rows"], manifest["dim"]) \
-        if manifest["rows"] else np.zeros((0, 0), dtype="<f4")
+    feats = np.frombuffer(raw, dtype="<f4").reshape(manifest["rows"], manifest["dim"])
 
     splits = {}
+    first = None  # (proposals per frame, line) of the first record
     path = data_dir / "segments.jsonl"
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+                seg = _segment_from_json(json.loads(line), feats, vocab.size)
+            except DataError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
+            except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed record: {exc}") from exc
-            try:
-                frames = [[Proposal(BoundingBox(*p["box"]),
-                                    feats[p["feat_row"]].copy())
-                           for p in fr["proposals"]] for fr in rec["frames"]]
-                gt = None if rec["gt"] is None else \
-                    [GtRecord(g["query"], g["frame"], BoundingBox(*g["box"]),
-                              g["visible"]) for g in rec["gt"]]
-                seg = SegmentSample(rec["segment_id"], rec["split"],
-                                    list(rec["query_labels"]), frames, gt)
-            except (KeyError, IndexError, TypeError) as exc:
-                raise DataError(f"{path}:{lineno}: malformed record: {exc}") from exc
-            splits.setdefault(rec["split"], []).append(seg)
+            N = seg.frames.shape[1]
+            first = first or (N, lineno)
+            if N != first[0]:
+                raise DataError(f"{path}:{lineno}: frames.proposals: {N} per frame, "
+                                f"but line {first[1]} has {first[0]}")
+            splits.setdefault(seg.split, []).append(seg)
     return vocab, splits
+
+
+def _segment_from_json(rec, feats, n_labels):
+    """One segments.jsonl record as a SegmentSample, proposal features gathered
+    from feats; DataError names the faulty field."""
+    counts = sorted({len(fr["proposals"]) for fr in rec["frames"]})
+    if len(counts) > 1:
+        raise DataError(f"frames.proposals: frames hold {counts} proposals; "
+                        f"every frame needs the same count")
+    F, N = len(rec["frames"]), counts[0] if counts else 0
+    props = [p for fr in rec["frames"] for p in fr["proposals"]]
+    boxes = np.array([p["box"] for p in props], dtype=np.float64).reshape(F, N, 4)
+    rows = np.array([p["feat_row"] for p in props], dtype=np.int64).reshape(F, N)
+    labels = rec["query_labels"]
+    _check_range("query_labels", np.array(labels, dtype=np.int64), n_labels,
+                 "vocabulary.txt labels")
+    _check_range("frames.proposals.feat_row", rows, len(feats), "features.bin rows")
+    _check_boxes("frames.proposals.box", boxes)
+
+    gt = rec["gt"]
+    if gt is not None:
+        gt = np.array([(g["query"], g["frame"], g["box"], g["visible"]) for g in gt],
+                      dtype=GT_DTYPE).view(np.recarray)
+        _check_range("gt.query", gt.query, len(labels), "query labels")
+        _check_range("gt.frame", gt.frame, F, "frames")
+        _check_boxes("gt.box", gt.box)
+
+    frames = np.recarray((F, N), dtype=proposal_dtype(feats.shape[1]))
+    frames.box = boxes
+    frames.feature = feats[rows]
+    return SegmentSample(rec["segment_id"], rec["split"], list(labels), frames, gt)
+
+
+def _check_range(field, values, n, of_what):
+    bad = values[(values < 0) | (values >= n)]
+    if bad.size:
+        raise DataError(f"{field}: {bad.tolist()} outside the {n} {of_what}")
+
+
+def _check_boxes(field, boxes):
+    bad = ~(np.isfinite(boxes) & (boxes >= 0)).all(axis=-1) \
+        | (boxes[..., 2:] <= boxes[..., :2]).any(axis=-1)
+    if bad.any():
+        raise DataError(f"{field}: {boxes[bad][0].tolist()} must be finite and "
+                        f"nonnegative with x1 < x2 and y1 < y2")

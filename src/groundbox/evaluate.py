@@ -10,6 +10,8 @@ import json
 import warnings
 from dataclasses import dataclass, field
 
+import numpy as np
+
 IOU_THRESHOLD = 0.5
 
 
@@ -38,28 +40,26 @@ class EvalReport:
 
 
 def iou(a, b):
-    """Intersection area over union area of two boxes."""
-    ix = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
-    iy = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
-    inter = ix * iy
-    return inter / (a.area() + b.area() - inter)
+    """Intersection area over union area of boxes (x1, y1, x2, y2) along the
+    last axis of a and b, which broadcast against each other."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    lo, hi = np.maximum(a[..., :2], b[..., :2]), np.minimum(a[..., 2:], b[..., 2:])
+    inter = np.prod(np.maximum(0.0, hi - lo), axis=-1)
+    area_a = np.prod(a[..., 2:] - a[..., :2], axis=-1)
+    return inter / (area_a + np.prod(b[..., 2:] - b[..., :2], axis=-1) - inter)
 
 
-def _tally(samples, vocab, hit_fn, warn_missing=False):
-    """Per-class (hits, instances) over every gt record of every sample."""
+def _tally(samples, vocab, hits_of):
+    """Per-class (hits, instances) over every gt record of every sample;
+    hits_of(seg) tests all of seg.gt at once."""
     hits = {}
     counts = {}
     for seg in samples:
-        for g in seg.gt or ():
-            label = vocab[seg.query_labels[g.query]]
-            counts[label] = counts.get(label, 0) + 1
-            hit = hit_fn(seg, g)
-            if hit is None:
-                if warn_missing:
-                    warnings.warn(f"no prediction for {seg.segment_id} "
-                                  f"query {g.query} frame {g.frame}; counted as miss")
-                hit = False
-            hits[label] = hits.get(label, 0) + bool(hit)
+        if seg.gt is not None:
+            for k, hit in zip(seg.gt.query.tolist(), hits_of(seg).tolist()):
+                label = vocab[seg.query_labels[k]]
+                counts[label] = counts.get(label, 0) + 1
+                hits[label] = hits.get(label, 0) + hit
     return hits, counts
 
 
@@ -72,45 +72,44 @@ def _report_from_tally(hits, counts):
 
 
 def box_accuracy(samples, predictions, vocab):
-    """predictions: {(segment_id, query_idx, frame_idx): BoundingBox}."""
-    def hit_fn(seg, g):
-        box = predictions.get((seg.segment_id, g.query, g.frame))
-        if box is None:
-            return None
-        return iou(box, g.box) > IOU_THRESHOLD
+    """predictions: {(segment_id, query_idx, frame_idx): box (x1, y1, x2, y2)}."""
+    def hits_of(seg):
+        gt = seg.gt
+        boxes = [predictions.get((seg.segment_id, q, f))
+                 for q, f in zip(gt.query.tolist(), gt.frame.tolist())]
+        missing = [j for j, box in enumerate(boxes) if box is None]
+        for j in missing:
+            warnings.warn(f"no prediction for {seg.segment_id} query "
+                          f"{gt.query[j]} frame {gt.frame[j]}; counted as miss")
+            boxes[j] = gt.box[j]
+        hit = iou(np.reshape(boxes, (-1, 4)), gt.box) > IOU_THRESHOLD
+        hit[missing] = False
+        return hit
 
-    return _report_from_tally(*_tally(samples, vocab, hit_fn, warn_missing=True))
+    return _report_from_tally(*_tally(samples, vocab, hits_of))
 
 
 def upper_bound(samples, vocab):
     """Accuracy if the best of the N proposals were always chosen."""
-    def hit_fn(seg, g):
-        return any(iou(p.box, g.box) > IOU_THRESHOLD
-                   for p in seg.frames[g.frame])
+    def hits_of(seg):
+        proposals = seg.frames.box[seg.gt.frame]            # (G, N, 4)
+        return (iou(proposals, seg.gt.box[:, None]) > IOU_THRESHOLD).any(axis=-1)
 
-    return _report_from_tally(*_tally(samples, vocab, hit_fn)).macro_accuracy
+    return _report_from_tally(*_tally(samples, vocab, hits_of)).macro_accuracy
 
 
 def evaluate_model(model, samples, vocab=None):
     """Ground every gt (query, frame) with the model and report box accuracy."""
-    if vocab is None:
-        vocab = _IndexVocab(model.config.V)
-    predictions = {(seg.segment_id, k, f): proposal.box
-                   for seg in samples
-                   for (k, f), proposal in model.predict(seg).items()}
+    if vocab is None:  # synthetic in-memory runs know only the vocab ids
+        vocab = [f"label{i:03d}" for i in range(model.config.V)]
+    predictions = {}
+    for seg in samples:
+        boxes = seg.frames.box
+        predictions.update(((seg.segment_id, k, f), boxes[f, i])
+                           for (k, f), i in model.predict(seg).items())
     report = box_accuracy(samples, predictions, vocab)
     report.upper_bound = upper_bound(samples, vocab)
     return report
-
-
-class _IndexVocab:
-    """Label lookup when only vocab ids are known (synthetic in-memory runs)."""
-
-    def __init__(self, V):
-        self.V = V
-
-    def __getitem__(self, i):
-        return f"label{i:03d}"
 
 
 def per_class_delta(report_a, report_b):

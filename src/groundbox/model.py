@@ -8,7 +8,7 @@ from . import grounding as G
 from . import tensor as T
 from .attention import MultiHeadAttentionStack
 from .config import LossMode
-from .data import DataError, sample_frames
+from .data import sample_frames
 from .encoders import ProposalEncoder, QueryEncoder
 from .tensor import Tensor, no_grad
 
@@ -52,19 +52,6 @@ class GroundingModel:
     # ------------------------------------------------------------------
     # forward pieces
 
-    def encode_frames(self, blocks, training, rng):
-        """Encode the proposals of every (segment, frame_indices) block in one
-        pass -> one (sum of T*N, d) tensor, block after block, frame-major.
-        """
-        feats = stack_features(blocks)
-        return self.prop_enc.encode(feats, training=training, rng=rng)
-
-    def cube(self, segment, frame_indices, training=False, rng=None, queries=None):
-        Q = queries if queries is not None \
-            else self.query_enc.encode(segment.query_labels)
-        P = self.encode_frames([(segment, frame_indices)], training, rng)
-        return G.similarity_cube(Q, P, len(frame_indices))
-
     def language_scores(self, Q, training, rng):
         J = self.attn.forward(Q, training=training, rng=rng)
         return G.language_confidence(J, Q, self.lang_W, self.lang_b)
@@ -88,7 +75,8 @@ class GroundingModel:
             for neg in neg_visual]
         # one dropout draw over the stacked block consumes the rng exactly
         # as one draw per block would
-        encoded = self.encode_frames(blocks, training, rng)
+        encoded = self.prop_enc.encode(stack_features(blocks), training=training,
+                                       rng=rng)
         rows = encoded.data.shape[0] // len(blocks)
         pos, *vis = [T.take(encoded, np.arange(b * rows, (b + 1) * rows))
                      for b in range(len(blocks))]
@@ -116,41 +104,30 @@ class GroundingModel:
     def predict(self, segment, frame_indices=None):
         """Ground every query at every requested frame (default: frames
         carrying a gt record, else all frames). Returns
-        {(query_idx, frame_idx): Proposal}.
+        {(query_idx, frame_idx): index of the chosen proposal}.
         """
         if frame_indices is None:
-            if segment.gt:
-                frame_indices = sorted({g.frame for g in segment.gt})
+            if segment.gt is not None and len(segment.gt):
+                frame_indices = np.unique(segment.gt.frame).tolist()
             else:
                 frame_indices = list(range(segment.n_frames))
         with no_grad():
-            cube = self.cube(segment, frame_indices, training=False)
+            Q = self.query_enc.encode(segment.query_labels)
+            P = self.prop_enc.encode(stack_features([(segment, frame_indices)]))
+            cube = G.similarity_cube(Q, P, len(frame_indices))
         # (O, len(frame_indices)); np.argmax takes the lowest index on ties
-        pick = np.argmax(cube.a.data, axis=-1)
-        return {(k, f): segment.frames[f][pick[k, t]]
+        pick = np.argmax(cube.a.data, axis=-1).tolist()
+        return {(k, f): pick[k][t]
                 for k in range(len(segment.query_labels))
                 for t, f in enumerate(frame_indices)}
 
 
 def stack_features(blocks):
     """Proposal features of every (segment, frame_indices) block as one
-    (sum of T*N, D_in) array, frame-major. Every stacked frame must hold the
-    same number N of proposals: the similarity cube is (O, T, N).
-    """
-    rows = []
-    first = None
-    for segment, frame_indices in blocks:
-        for f in frame_indices:
-            proposals = segment.frames[f]
-            if first is None:
-                first = (segment.segment_id, f, len(proposals))
-            elif len(proposals) != first[2]:
-                raise DataError(
-                    f"segment {segment.segment_id} frame {f} has {len(proposals)} "
-                    f"proposals, but segment {first[0]} frame {first[1]} has "
-                    f"{first[2]}; every frame needs the same count")
-            rows.extend(p.feature for p in proposals)
-    return np.stack(rows).astype(np.float64)
+    (sum of T*N, D_in) float64 array, frame-major."""
+    feats = np.stack([segment.frames.feature[frame_indices]
+                      for segment, frame_indices in blocks])
+    return feats.reshape(-1, feats.shape[-1]).astype(np.float64)
 
 
 def load_into_model(model, flat_params):

@@ -19,7 +19,7 @@ from groundbox import tensor as T
 from groundbox.attention import MultiHeadAttentionStack, scaled_dot_attention
 from groundbox.cli import GRADCHECK_TOLERANCE, gradcheck_all_modes
 from groundbox.config import GroundingConfig, LossMode
-from groundbox.data import BoundingBox, generate_synthetic, save_segments
+from groundbox.data import generate_synthetic, save_segments
 from groundbox.evaluate import (box_accuracy, evaluate_model, iou,
                                 upper_bound)
 from groundbox.model import GroundingModel
@@ -144,12 +144,12 @@ def test_criterion_5_sampling_rate_robustness(verdict):
 
 def test_criterion_6_metric_correctness(verdict):
     checks = []
-    checks.append(abs(iou(BoundingBox(0, 0, 10, 10), BoundingBox(5, 0, 15, 10))
+    checks.append(abs(iou(np.array([0, 0, 10, 10]), np.array([5, 0, 15, 10]))
                       - 1.0 / 3.0) <= 1e-12)
 
     # IoU exactly 0.5 is a miss (strict threshold)
-    gt = BoundingBox(0, 0, 10, 10)
-    half = BoundingBox(0, 0, 10, 5)
+    gt = np.array([0, 0, 10, 10])
+    half = np.array([0, 0, 10, 5])
     cfg = GroundingConfig(V=12, D_in=8, N=5, frames_per_segment=6,
                           train_segments=1, val_segments=4, test_segments=0,
                           seed=0)
@@ -158,8 +158,8 @@ def test_criterion_6_metric_correctness(verdict):
     seg = samples[0]
     g0 = seg.gt[0]
     checks.append(abs(iou(half, gt) - 0.5) <= 1e-12)
-    shrunk = BoundingBox(g0.box.x1, g0.box.y1, g0.box.x2,
-                         g0.box.y1 + (g0.box.y2 - g0.box.y1) / 2)
+    shrunk = np.array([g0.box[0], g0.box[1], g0.box[2],
+                       g0.box[1] + (g0.box[3] - g0.box[1]) / 2])
     preds = {(seg.segment_id, g0.query, g0.frame): shrunk}
     label = vocab[seg.query_labels[g0.query]]
     with pytest.warns(UserWarning):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from groundbox.cli import main
-from groundbox.config import (GroundingConfig, LossMode, load_config,
-                              parse_config_file)
+from groundbox.config import GroundingConfig, LossMode, parse_config_file
 from groundbox.data import load_segments
 from groundbox.model import GroundingModel
 from groundbox.tensor import ConfigError
@@ -96,15 +95,6 @@ def test_config_from_dict_names_unknown_keys():
     # a checkpoint config may carry fields this version does not have
     with pytest.raises(ConfigError, match=r"\['bogus', 'workers'\]"):
         GroundingConfig.from_dict({"workers": 2, "bogus": 1, "lam": 0.5})
-
-
-def test_load_config_precedence(tmp_path):
-    p = tmp_path / "c.cfg"
-    p.write_text("lam=0.5\ndelta=0.2\n")
-    c = load_config(p, overrides={"lam": 0.7, "T": None})
-    assert c.lam == 0.7      # override beats file
-    assert c.delta == 0.2    # file beats default
-    assert c.T == 5          # None override ignored -> default
 
 
 def test_config_round_trip_dict():
@@ -202,6 +192,35 @@ def test_cli_eval_vocab_mismatch_exits_1(tmp_path, fast_cfg, capsys):
                  "--data", str(other), "--out", str(tmp_path / "r.json")])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_refuses_dataset_that_does_not_match_the_config(tmp_path, fast_cfg,
+                                                           capsys):
+    data = tmp_path / "data"
+    wide = tmp_path / "wide"
+    run = tmp_path / "run"
+    main(["gen-data", "--config", fast_cfg, "--out", str(data)])
+    main(["train", "--config", fast_cfg, "--data", str(data),
+          "--mode", "dvsa", "--out", str(run)])
+    cfg2 = tmp_path / "wide.cfg"
+    cfg2.write_text(FAST.replace("D_in=6", "D_in=16"))
+    main(["gen-data", "--config", str(cfg2), "--out", str(wide)])
+    capsys.readouterr()
+    want = f"{wide / 'features.json'}: dim 16, but "
+    assert main(["train", "--config", fast_cfg, "--data", str(wide),
+                 "--out", str(tmp_path / "run2")]) == 1
+    assert want + "the config has D_in=6" in capsys.readouterr().err
+    assert not (tmp_path / "run2").exists()
+    assert main(["eval", "--checkpoint", str(run / "checkpoint"),
+                 "--data", str(wide), "--out", str(tmp_path / "r.json")]) == 1
+    assert want + f"{run / 'checkpoint.json'} has D_in=6" in capsys.readouterr().err
+    # the vocabulary check names its file too
+    cfg3 = tmp_path / "v9.cfg"
+    cfg3.write_text(FAST.replace("V=12", "V=9"))
+    assert main(["train", "--config", str(cfg3), "--data", str(data),
+                 "--out", str(tmp_path / "run4")]) == 1
+    assert f"{data / 'vocabulary.txt'} holds 12 labels, but the config has V=9" \
+        in capsys.readouterr().err
 
 
 def test_cli_eval_load_errors_name_the_checkpoint(tmp_path, fast_cfg, capsys):

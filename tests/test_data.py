@@ -1,4 +1,7 @@
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groundbox.config import GroundingConfig
-from groundbox.data import (BoundingBox, DataError, IntegrityError,
-                            SamplingError, SegmentSample, Vocabulary,
+from groundbox.data import (DataError, IntegrityError, SamplingError,
+                            SegmentSample, Vocabulary, _iou4, _random_box,
                             generate_synthetic, label_members, load_segments,
                             sample_frames, sample_negative_sentence,
                             save_segments)
@@ -16,18 +19,6 @@ from groundbox.evaluate import iou
 SMALL = GroundingConfig(V=12, D_in=8, N=5, frames_per_segment=6,
                         train_segments=4, val_segments=3, test_segments=3,
                         sigma=0.1, seed=0)
-
-
-def test_bounding_box_validation():
-    BoundingBox(0, 0, 1, 1)
-    with pytest.raises(DataError):
-        BoundingBox(1, 0, 1, 1)       # zero width
-    with pytest.raises(DataError):
-        BoundingBox(2, 0, 1, 1)       # inverted
-    with pytest.raises(DataError):
-        BoundingBox(-1, 0, 1, 1)      # negative coord
-    with pytest.raises(DataError):
-        BoundingBox(float("nan"), 0, 1, 1)
 
 
 def test_vocabulary_rejects_duplicates():
@@ -50,7 +41,7 @@ def test_generate_counts_and_shapes():
 def test_generate_gt_only_on_eval_splits():
     _, splits = generate_synthetic(SMALL)
     assert all(s.gt is None for s in splits["train"])
-    assert all(s.gt for s in splits["val"] + splits["test"])
+    assert all(s.gt is not None and len(s.gt) for s in splits["val"] + splits["test"])
 
 
 def test_generate_presence_span_is_contiguous():
@@ -66,11 +57,11 @@ def test_generate_presence_span_is_contiguous():
 def test_generate_distractor_boxes_clear_of_truth():
     _, splits = generate_synthetic(SMALL)
     for seg in splits["val"]:
-        truth = {(g.frame, tuple(g.box.as_list())) for g in seg.gt}
+        truth = {(g.frame, tuple(g.box.tolist())) for g in seg.gt}
         for f, props in enumerate(seg.frames):
-            gt_boxes = [BoundingBox(*b) for (fr, b) in truth if fr == f]
+            gt_boxes = [b for (fr, b) in truth if fr == f]
             for p in props:
-                if tuple(p.box.as_list()) in {tuple(b.as_list()) for b in gt_boxes}:
+                if tuple(p.box.tolist()) in gt_boxes:
                     continue
                 for b in gt_boxes:
                     assert iou(p.box, b) < 0.5
@@ -81,8 +72,9 @@ def test_generate_boxes_inside_canvas():
     for seg in splits["test"]:
         for props in seg.frames:
             for p in props:
-                assert 0 <= p.box.x1 < p.box.x2 <= 1000
-                assert 0 <= p.box.y1 < p.box.y2 <= 1000
+                x1, y1, x2, y2 = p.box
+                assert 0 <= x1 < x2 <= 1000
+                assert 0 <= y1 < y2 <= 1000
 
 
 def test_generate_referring_expressions_present():
@@ -96,7 +88,7 @@ def test_generate_deterministic_per_seed():
     assert v1.labels == v2.labels
     a = s1["train"][0].frames[0][0]
     b = s2["train"][0].frames[0][0]
-    assert np.array_equal(a.feature, b.feature) and a.box == b.box
+    assert np.array_equal(a.feature, b.feature) and np.array_equal(a.box, b.box)
     _, s3 = generate_synthetic(SMALL, seed=10)
     assert not np.array_equal(a.feature, s3["train"][0].frames[0][0].feature)
 
@@ -201,11 +193,11 @@ def test_save_load_round_trip(tmp_path):
             assert (a.gt is None) == (b.gt is None)
             for fa, fb in zip(a.frames, b.frames):
                 for pa, pb in zip(fa, fb):
-                    assert pa.box == pb.box
+                    assert np.array_equal(pa.box, pb.box)
                     assert np.array_equal(pa.feature, pb.feature)
             if a.gt is not None:
-                assert [(g.query, g.frame, g.box) for g in a.gt] == \
-                       [(g.query, g.frame, g.box) for g in b.gt]
+                assert [(g.query, g.frame, g.box.tolist()) for g in a.gt] == \
+                       [(g.query, g.frame, g.box.tolist()) for g in b.gt]
 
 
 def test_save_is_byte_deterministic(tmp_path):
@@ -249,3 +241,153 @@ def test_load_reports_malformed_line_number(tmp_path):
     with pytest.raises(DataError, match="segments.jsonl:3"):
         load_segments(tmp_path)
 
+
+
+def test_iou4_matches_evaluate_iou_bit_for_bit():
+    # the distractor test's scalar IoU must agree with the metric's exactly,
+    # or generation could keep a box the metric scores at >= 0.5
+    rng = np.random.default_rng(0)
+    a = [_random_box(rng, 1000) for _ in range(5000)]
+    b = [_random_box(rng, 1000) for _ in range(5000)]
+    b[:50] = a[:50]                                  # identical boxes
+    b[50:100] = [(x1, y1, x2, (y1 + y2) / 2) for x1, y1, x2, y2 in a[50:100]]
+    scalar = np.array([_iou4(x, y) for x, y in zip(a, b)])
+    assert np.array_equal(scalar, iou(np.array(a), np.array(b)))
+    assert (scalar == 0).any() and (scalar == 1).any()
+
+
+def test_iou_broadcasts_over_leading_axes():
+    rng = np.random.default_rng(1)
+    props = np.array([[_random_box(rng, 100) for _ in range(4)] for _ in range(3)])
+    gt = np.array([_random_box(rng, 100) for _ in range(3)])
+    got = iou(props, gt[:, None])
+    assert got.shape == (3, 4)
+    assert got.tolist() == [[_iou4(tuple(p), tuple(g)) for p in row]
+                            for row, g in zip(props.tolist(), gt.tolist())]
+
+
+# --------------------------------------------------------------------------
+# load-time validation: each fault names segments.jsonl:<line> and the field.
+# SMALL saves the test split first, so line 1 is a test segment with gt.
+
+def _saved_with_edit(tmp_path, lineno, edit):
+    vocab, splits = generate_synthetic(SMALL)
+    save_segments(tmp_path, vocab, splits)
+    path = tmp_path / "segments.jsonl"
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[lineno - 1])
+    edit(rec)
+    lines[lineno - 1] = json.dumps(rec)
+    path.write_text("".join(l + "\n" for l in lines))
+    return tmp_path
+
+
+def _load_error(data_dir):
+    with pytest.raises(DataError) as exc:
+        load_segments(data_dir)
+    return str(exc.value)
+
+
+def test_load_rejects_label_outside_vocabulary(tmp_path):
+    def edit(rec):
+        rec["query_labels"][0] = 99
+    err = _load_error(_saved_with_edit(tmp_path, 1, edit))
+    assert "segments.jsonl:1: query_labels: [99] outside the 12 vocabulary.txt" in err
+
+
+def test_load_rejects_gt_query_out_of_range(tmp_path):
+    def edit(rec):
+        rec["gt"][0]["query"] = len(rec["query_labels"])
+    err = _load_error(_saved_with_edit(tmp_path, 2, edit))
+    assert "segments.jsonl:2: gt.query:" in err
+
+
+def test_load_rejects_gt_frame_out_of_range(tmp_path):
+    def edit(rec):
+        rec["gt"][0]["frame"] = 99
+    err = _load_error(_saved_with_edit(tmp_path, 1, edit))
+    assert "segments.jsonl:1: gt.frame: [99] outside the 6 frames" in err
+
+
+def test_load_rejects_feat_row_out_of_range(tmp_path):
+    def edit(rec):
+        rec["frames"][1]["proposals"][2]["feat_row"] = -1
+    err = _load_error(_saved_with_edit(tmp_path, 5, edit))
+    assert "segments.jsonl:5: frames.proposals.feat_row: [-1]" in err
+
+
+# the old BoundingBox rules: zero width, inverted, negative coordinate, NaN,
+# zero height, and the inverted box [5, 5, 1, 1]
+BAD_BOXES = [[1, 0, 1, 1], [2, 0, 1, 1], [-1, 0, 1, 1], [math.nan, 0, 1, 1],
+             [0, 1, 1, 1], [5, 5, 1, 1]]
+
+
+@pytest.mark.parametrize("box", BAD_BOXES)
+def test_load_rejects_bad_proposal_box(tmp_path, box):
+    def edit(rec):
+        rec["frames"][2]["proposals"][0]["box"] = box
+    err = _load_error(_saved_with_edit(tmp_path, 3, edit))
+    assert "segments.jsonl:3: frames.proposals.box: " in err
+
+
+@pytest.mark.parametrize("box", BAD_BOXES)
+def test_load_rejects_bad_gt_box(tmp_path, box):
+    def edit(rec):
+        rec["gt"][-1]["box"] = box
+    err = _load_error(_saved_with_edit(tmp_path, 9, edit))
+    assert "segments.jsonl:9: gt.box: " in err
+
+
+@pytest.mark.parametrize("first,second", [(4, 5), (5, 3)])
+def test_load_rejects_ragged_frames_within_a_segment(tmp_path, first, second):
+    # frames of 4 and 5 proposals used to drop a proposal silently and
+    # mis-assign rows; frames of 5 and 3 raised a bare IndexError
+    def edit(rec):
+        for frame, n in zip(rec["frames"], (first, second)):
+            del frame["proposals"][n:]
+    err = _load_error(_saved_with_edit(tmp_path, 1, edit))
+    counts = sorted({first, second})
+    assert f"segments.jsonl:1: frames.proposals: frames hold {counts}" in err
+
+
+def test_load_rejects_proposal_count_differing_across_segments(tmp_path):
+    def edit(rec):
+        for frame in rec["frames"]:
+            del frame["proposals"][4:]
+    err = _load_error(_saved_with_edit(tmp_path, 2, edit))
+    assert "segments.jsonl:2: frames.proposals: 4 per frame, but line 1 has 5" in err
+
+
+def _same_records(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and all(
+        np.array_equal(a[name], b[name]) for name in a.dtype.names)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 5),
+       st.floats(0.05, 1.0), st.lists(st.integers(0, 3), min_size=3, max_size=3),
+       st.integers(3, 10), st.integers(0, 2**31 - 1))
+def test_dataset_round_trip(N, F, D_in, presence, sizes, V, seed):
+    cfg = GroundingConfig(N=N, frames_per_segment=F, D_in=D_in, presence=presence,
+                          train_segments=sizes[0], val_segments=sizes[1],
+                          test_segments=sizes[2], V=V, max_objects=min(3, N, V),
+                          seed=seed).validate()
+    vocab, splits = generate_synthetic(cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "a"), Path(tmp, "b")
+        save_segments(first, vocab, splits)
+        vocab2, loaded = load_segments(first)
+        save_segments(second, vocab2, loaded)
+        for name in ("vocabulary.txt", "segments.jsonl", "features.bin",
+                     "features.json"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+    assert vocab2.labels == vocab.labels
+    assert {k: len(v) for k, v in loaded.items()} == \
+        {k: len(v) for k, v in splits.items() if v}
+    for split, segs in loaded.items():
+        for a, b in zip(splits[split], segs):
+            assert (a.segment_id, a.split, a.query_labels) == \
+                (b.segment_id, b.split, b.query_labels)
+            assert _same_records(a.frames, b.frames)
+            assert (a.gt is None) == (b.gt is None)
+            assert a.gt is None or _same_records(a.gt, b.gt)

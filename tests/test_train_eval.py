@@ -9,8 +9,8 @@ import pytest
 from groundbox import tensor as T
 from groundbox.cli import GRADCHECK_DEFAULTS, GRADCHECK_TOLERANCE, gradcheck_all_modes
 from groundbox.config import GroundingConfig, LossMode
-from groundbox.data import (BoundingBox, DataError, IntegrityError,
-                            SamplingError, generate_synthetic)
+from groundbox.data import (GT_DTYPE, IntegrityError, SamplingError,
+                            generate_synthetic)
 from groundbox.encoders import ProposalEncoder
 from groundbox.evaluate import (EvalReport, box_accuracy, evaluate_model, iou,
                                 per_class_delta, upper_bound)
@@ -106,8 +106,7 @@ def test_model_predict_covers_all_gt_frames():
     preds = model.predict(seg)
     want = {(g.query, g.frame) for g in seg.gt}
     assert want <= set(preds)
-    for prop in preds.values():
-        assert any(prop.box == p.box for fr in seg.frames for p in fr)
+    assert set(preds.values()) <= set(range(TINY.N))
 
 
 def test_predict_takes_lowest_index_on_ties():
@@ -115,12 +114,11 @@ def test_predict_takes_lowest_index_on_ties():
     # ties across all of them
     _, splits = generate_synthetic(TINY)
     seg = splits["val"][0]
-    feature = seg.frames[0][0].feature
-    tied = [dataclasses.replace(p, feature=feature) for p in seg.frames[0]]
+    seg.frames.feature[0] = seg.frames.feature[0, 0]
     model = GroundingModel(TINY, np.random.default_rng(0))
-    preds = model.predict(dataclasses.replace(seg, frames=[tied], gt=[]))
+    preds = model.predict(seg, frame_indices=[0])
     assert set(preds) == {(k, 0) for k in range(len(seg.query_labels))}
-    assert all(p is tied[0] for p in preds.values())
+    assert all(i == 0 for i in preds.values())
 
 
 def test_trainable_params_by_mode():
@@ -148,25 +146,6 @@ def test_segment_loss_finite_in_every_mode():
                                       training=True, rng=rng)
             backward(loss)
         assert np.isfinite(loss.item())
-
-
-def test_model_rejects_ragged_frames():
-    # frames of 4 and 5 proposals used to drop a proposal silently and
-    # mis-assign rows; frames of 5 and 3 raised a bare IndexError
-    _, splits = generate_synthetic(TINY)
-    seg = splits["val"][0]
-    pool = seg.frames[0] + seg.frames[1]
-    model = GroundingModel(TINY, np.random.default_rng(0))
-    for first, second in ((4, 5), (5, 3)):
-        ragged = dataclasses.replace(seg, frames=[pool[:first], pool[:second]],
-                                     gt=[])
-        want = (rf"segment {seg.segment_id} frame 1 has {second} proposals, "
-                rf"but segment {seg.segment_id} frame 0 has {first}")
-        with pytest.raises(DataError, match=want):
-            model.predict(ragged)
-        with pytest.raises(DataError, match=want):
-            model.segment_loss(ragged, [seg], [[0]], training=False,
-                               frame_indices=[0, 1])
 
 
 def test_segment_loss_encodes_proposals_once_per_segment(monkeypatch):
@@ -288,10 +267,10 @@ def _one_gt_sample():
 
 
 def test_iou_hand_values():
-    a = BoundingBox(0, 0, 10, 10)
-    assert abs(iou(a, BoundingBox(5, 0, 15, 10)) - 1 / 3) < 1e-12
+    a = np.array([0, 0, 10, 10])
+    assert abs(iou(a, np.array([5, 0, 15, 10])) - 1 / 3) < 1e-12
     assert iou(a, a) == 1.0
-    assert iou(a, BoundingBox(20, 20, 30, 30)) == 0.0
+    assert iou(a, np.array([20, 20, 30, 30])) == 0.0
 
 
 def test_box_accuracy_perfect_predictions():
@@ -304,12 +283,12 @@ def test_box_accuracy_perfect_predictions():
 
 
 def test_iou_exactly_half_is_a_miss():
-    gt = BoundingBox(0, 0, 10, 10)
+    gt = np.array([0, 0, 10, 10])
     # shifted so inter=50, union=... pick a box with IoU exactly 0.5:
     # (0,0,10,5) vs gt: inter 50, union 100 -> 0.5
-    pred = BoundingBox(0, 0, 10, 5)
+    pred = np.array([0, 0, 10, 5])
     assert abs(iou(pred, gt) - 0.5) < 1e-12
-    seg_gt = [type("G", (), {"query": 0, "frame": 0, "box": gt, "visible": True})()]
+    seg_gt = np.rec.fromrecords([(0, 0, gt, True)], dtype=GT_DTYPE)
     seg = type("S", (), {"segment_id": "s", "query_labels": [0], "gt": seg_gt,
                          "frames": [[]]})()
     rep = box_accuracy([seg], {("s", 0, 0): pred}, {0: "a"})
