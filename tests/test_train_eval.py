@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import re
 import weakref
 
 import numpy as np
@@ -9,8 +10,8 @@ import pytest
 from groundbox import tensor as T
 from groundbox.cli import GRADCHECK_DEFAULTS, GRADCHECK_TOLERANCE, gradcheck_all_modes
 from groundbox.config import GroundingConfig, LossMode
-from groundbox.data import (GT_DTYPE, IntegrityError, SamplingError,
-                            generate_synthetic)
+from groundbox.data import (GT_DTYPE, DataError, IntegrityError, SamplingError,
+                            generate_synthetic, load_segments, save_segments)
 from groundbox.encoders import ProposalEncoder
 from groundbox.evaluate import (EvalReport, box_accuracy, evaluate_model, iou,
                                 per_class_delta, upper_bound)
@@ -146,6 +147,29 @@ def test_segment_loss_finite_in_every_mode():
                                       training=True, rng=rng)
             backward(loss)
         assert np.isfinite(loss.item())
+
+
+def test_model_rejects_ragged_frames(tmp_path):
+    # frames of 4 and 5 proposals used to drop a proposal silently and
+    # mis-assign rows; frames of 5 and 3 raised a bare IndexError. A segment's
+    # proposals are now one (F, N) array, so load_segments refuses ragged
+    # frames before any reach the model.
+    vocab, splits = generate_synthetic(TINY)
+    for first, second in ((4, 5), (5, 3)):
+        data = tmp_path / f"ragged{first}{second}"
+        save_segments(data, vocab, splits)
+        path = data / "segments.jsonl"
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[0])
+        pool = rec["frames"][0]["proposals"] + rec["frames"][1]["proposals"]
+        rec["frames"][0]["proposals"] = pool[:first]
+        rec["frames"][1]["proposals"] = pool[:second]
+        lines[0] = json.dumps(rec)
+        path.write_text("".join(l + "\n" for l in lines))
+        counts = sorted({first, second, TINY.N})
+        want = f"segments.jsonl:1: frames.proposals: frames hold {counts} proposals"
+        with pytest.raises(DataError, match=re.escape(want)):
+            load_segments(data)
 
 
 def test_segment_loss_encodes_proposals_once_per_segment(monkeypatch):
