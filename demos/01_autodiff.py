@@ -10,7 +10,7 @@ from groundbox.tensor import Tape, Tensor, backward
 
 rng = np.random.default_rng(0)
 
-# A two-layer network with a softmax head, written against the raw ops.
+# A two-layer network with a sigmoid head, written against the raw ops.
 W1 = T.uniform_init(rng, (6, 4), fan_in=6)
 b1 = T.uniform_init(rng, (4,), fan_in=6)
 W2 = T.uniform_init(rng, (4, 3), fan_in=4)
@@ -18,8 +18,8 @@ x = Tensor(rng.standard_normal((5, 6)))
 
 with Tape():
     h = T.relu(T.add_rowvec(x @ W1, b1))
-    p = T.softmax_rows(h @ W2)
-    loss = T.neg(T.mean_all(T.log(T.clamp_min(p, 1e-8))))
+    p = T.sigmoid(h @ W2)
+    loss = T.scale(T.mean_all(T.log(T.clamp_min(p, 1e-8))), -1.0)
     backward(loss)
 
 print(f"loss = {loss.item():.4f}")
@@ -29,8 +29,8 @@ print(f"dL/db1      = {np.round(b1.grad, 4)}")
 # Every gradient above should agree with finite differences to ~1e-9.
 def f():
     h = T.relu(T.add_rowvec(x @ W1, b1))
-    p = T.softmax_rows(h @ W2)
-    return T.neg(T.mean_all(T.log(T.clamp_min(p, 1e-8))))
+    p = T.sigmoid(h @ W2)
+    return T.scale(T.mean_all(T.log(T.clamp_min(p, 1e-8))), -1.0)
 
 err, name = finite_diff_check(f, {"W1": W1, "b1": b1, "W2": W2}, step=1e-5)
 print(f"worst finite-difference relative error: {err:.2e} (at {name})")

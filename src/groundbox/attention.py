@@ -80,21 +80,19 @@ class MultiHeadAttentionStack:
     per-head width is hidden // heads so the internal attention width is the
     largest multiple of the head count not exceeding hidden. The feed-forward
     sublayer uses the full hidden width. Input and output width stay at d.
-    Positional encoding is applied once before layer 1 (optional, so order
-    sensitivity can be switched off).
+    Positional encoding is applied once before layer 1.
     """
 
     def __init__(self, d, layers=2, heads=6, hidden=256, p_drop=0.2,
-                 max_len=64, rng=None, positional=True):
+                 max_len=64, rng=None):
         head_dim = max(hidden // heads, 1)
         self.layers = [_AttentionLayer(d, heads, head_dim, hidden, p_drop, rng)
                        for _ in range(layers)]
         self.pe = PositionalEncoding(max_len, d)
-        self.positional = positional
 
     def forward(self, queries, training=False, rng=None):
         """queries: (O, d) Tensor -> (O, d) Tensor of interaction encodings."""
-        x = self.pe.apply(queries) if self.positional else queries
+        x = self.pe.apply(queries)
         for layer in self.layers:
             x = layer.forward(x, training, rng)
         return x

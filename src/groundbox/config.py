@@ -54,7 +54,7 @@ class GroundingConfig:
     canvas: int = 1000
 
     def __post_init__(self):
-        if isinstance(self.mode, str):
+        if not isinstance(self.mode, LossMode):
             if self.mode not in MODE_NAMES:
                 raise ConfigError(
                     f"unknown mode {self.mode!r}; choose from {sorted(MODE_NAMES)}")
@@ -102,14 +102,9 @@ class GroundingConfig:
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
         unknown = sorted(set(d) - set(_FIELD_TYPES))
         if unknown:
             raise ConfigError(f"unknown config keys {unknown}")
-        if "mode" in d and not isinstance(d["mode"], LossMode):
-            if d["mode"] not in MODE_NAMES:
-                raise ConfigError(f"unknown mode {d['mode']!r}; choose from {sorted(MODE_NAMES)}")
-            d["mode"] = MODE_NAMES[d["mode"]]
         return cls(**d).validate()
 
 

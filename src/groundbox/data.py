@@ -322,8 +322,9 @@ def _segment_from_json(rec, feats, n_labels):
     F, N = len(rec["frames"]), counts[0] if counts else 0
     props = [p for fr in rec["frames"] for p in fr["proposals"]]
     boxes = np.array([p["box"] for p in props], dtype=np.float64).reshape(F, N, 4)
-    rows = np.array([p["feat_row"] for p in props], dtype=np.int64).reshape(F, N)
-    labels = rec["query_labels"]
+    rows = _checked_list("frames.proposals.feat_row", [p["feat_row"] for p in props], int)
+    rows = np.array(rows, dtype=np.int64).reshape(F, N)
+    labels = _checked_list("query_labels", rec["query_labels"], int)
     _check_range("query_labels", np.array(labels, dtype=np.int64), n_labels,
                  "vocabulary.txt labels")
     _check_range("frames.proposals.feat_row", rows, len(feats), "features.bin rows")
@@ -331,6 +332,8 @@ def _segment_from_json(rec, feats, n_labels):
 
     gt = rec["gt"]
     if gt is not None:
+        for key, kind in (("query", int), ("frame", int), ("visible", bool)):
+            _checked_list(f"gt.{key}", [g[key] for g in gt], kind)
         gt = np.array([(g["query"], g["frame"], g["box"], g["visible"]) for g in gt],
                       dtype=GT_DTYPE).view(np.recarray)
         _check_range("gt.query", gt.query, len(labels), "query labels")
@@ -341,6 +344,16 @@ def _segment_from_json(rec, feats, n_labels):
     frames.box = boxes
     frames.feature = feats[rows]
     return SegmentSample(rec["segment_id"], rec["split"], list(labels), frames, gt)
+
+
+def _checked_list(field, values, kind):
+    """values, if each is a JSON value of exactly kind (a bool or a float is
+    not an int); else DataError naming field."""
+    bad = [v for v in values if type(v) is not kind]
+    if bad:
+        raise DataError(f"{field}: {bad[0]!r} is not a JSON "
+                        f"{'integer' if kind is int else 'boolean'}")
+    return values
 
 
 def _check_range(field, values, n, of_what):

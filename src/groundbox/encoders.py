@@ -40,12 +40,11 @@ class QueryEncoder:
 class ProposalEncoder:
     """Two-layer MLP D_in -> h -> d; dropout then ReLU after layer 1.
 
-    Hidden width defaults to round(sqrt(D_in * d)) since only the endpoints
-    are fixed.
+    Hidden width is round(sqrt(D_in * d)) since only the endpoints are fixed.
     """
 
-    def __init__(self, D_in, d, rng, hidden=None, p_drop=0.2):
-        h = hidden or max(1, round(math.sqrt(D_in * d)))
+    def __init__(self, D_in, d, rng, p_drop=0.2):
+        h = max(1, round(math.sqrt(D_in * d)))
         self.D_in = D_in
         self.p_drop = p_drop
         self.W1 = T.uniform_init(rng, (D_in, h), fan_in=D_in)

@@ -56,7 +56,7 @@ def similarity_cube(Q, P, n_frames):
 def penalty(c):
     """D_t = -log(2 C_t); negative (a reward) when C_t > 0.5."""
     c = c if isinstance(c, Tensor) else Tensor(c)
-    return T.neg(T.log(T.clamp_min(T.scale(c, 2.0), LOG_EPS)))
+    return T.scale(T.log(T.clamp_min(T.scale(c, 2.0), LOG_EPS)), -1.0)
 
 
 def _hinge_sum(cube_pos, vis_neg_cubes, sent_neg_cubes, delta, score):

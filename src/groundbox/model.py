@@ -52,10 +52,6 @@ class GroundingModel:
     # ------------------------------------------------------------------
     # forward pieces
 
-    def language_scores(self, Q, training, rng):
-        J = self.attn.forward(Q, training=training, rng=rng)
-        return G.language_confidence(J, Q, self.lang_W, self.lang_b)
-
     def segment_loss(self, segment, neg_visual, neg_sentences,
                      training=True, rng=None, frame_indices=None):
         """Mode-dispatched loss for one positive segment.
@@ -92,7 +88,8 @@ class GroundingModel:
         if mode is LossMode.LOSS_WEIGHTING:
             return G.weighted_segment_loss(cube_pos, rank_vec, cfg.lam)
 
-        c_lang = self.language_scores(Q, training, rng)
+        J = self.attn.forward(Q, training=training, rng=rng)
+        c_lang = G.language_confidence(J, Q, self.lang_W, self.lang_b)
         if mode is LossMode.OBJECT_INTERACTION:
             return G.language_weighted_segment_loss(cube_pos, rank_vec, c_lang,
                                                     cfg.lam)

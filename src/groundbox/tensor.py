@@ -3,7 +3,9 @@
 Tensors hold float64 numpy arrays. Operations executed while a Tape is
 active are recorded in execution (topological) order; ``backward`` walks
 the tape once in reverse and accumulates gradients into every tensor that
-requires them.
+requires them. The 21 ops are the ones the model runs; the only operator
+sugar is ``@`` (matmul) and ``.T`` (transpose), and negation is
+``scale(x, -1.0)``.
 
 The active tape is per context (a ``contextvars.ContextVar``): a ``Tape``
 or ``no_grad`` entered in one thread leaves recording in every other
@@ -104,37 +106,8 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar; scalars fold into scale/shift ops
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return shift(self, float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return shift(self, -float(other))
-
-    def __rsub__(self, other):
-        return shift(neg(self), float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -244,10 +217,6 @@ def shift(a, c):
         _accumulate(a, g, owned=False)
 
     return _record("shift", out, (a,), bwd)
-
-
-def neg(a):
-    return scale(a, -1.0)
 
 
 def matmul(a, b):
@@ -387,19 +356,6 @@ def clamp_min(x, floor):
     return _record("clamp_min", out, (x,), bwd)
 
 
-def softmax_rows(x):
-    """Row-wise softmax over the last axis, shift-invariant."""
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y)
-
-    def bwd(g):
-        _accumulate(x, y * (g - (g * y).sum(axis=-1, keepdims=True)))
-
-    return _record("softmax_rows", out, (x,), bwd)
-
-
 def multi_head_attention(q, k, v, heads):
     """softmax(q_h k_h^T / sqrt(w)) v_h for every head h at once.
 
@@ -466,15 +422,6 @@ def mean_all(x):
     return _record("mean_all", out, (x,), bwd)
 
 
-def sum_all(x):
-    out = Tensor(x.data.sum())
-
-    def bwd(g):
-        _accumulate(x, np.full_like(x.data, float(g)))
-
-    return _record("sum_all", out, (x,), bwd)
-
-
 def mean_axis0(x):
     """Column means of a 2-D tensor -> 1-D tensor."""
     if x.data.ndim != 2:
@@ -489,7 +436,9 @@ def mean_axis0(x):
 
 
 def layer_norm_rows(x, gain, bias, eps=1e-6):
-    """Normalize each row to zero mean / unit variance, then affine."""
+    """Normalize each row of a 2-D tensor to zero mean / unit variance, then affine."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"layer_norm_rows expects 2-D, got {x.data.shape}")
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
     sd = np.sqrt(var + eps)
@@ -498,12 +447,9 @@ def layer_norm_rows(x, gain, bias, eps=1e-6):
 
     def bwd(g):
         if gain.requires_grad:
-            _accumulate(gain, (g * xhat).sum(axis=0) if g.ndim == 2 else g * xhat)
+            _accumulate(gain, (g * xhat).sum(axis=0))
         if bias.requires_grad:
-            if g.ndim == 2:
-                _accumulate(bias, g.sum(axis=0))
-            else:
-                _accumulate(bias, g, owned=False)
+            _accumulate(bias, g.sum(axis=0))
         if x.requires_grad:
             dxhat = g * gain.data
             _accumulate(x, (dxhat - dxhat.mean(axis=-1, keepdims=True)

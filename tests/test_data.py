@@ -316,6 +316,24 @@ def test_load_rejects_feat_row_out_of_range(tmp_path):
     assert "segments.jsonl:5: frames.proposals.feat_row: [-1]" in err
 
 
+# a float or bool where a JSON integer belongs, a string where a bool belongs;
+# each would otherwise load silently cast (6.5 as label 6, "yes" as True)
+@pytest.mark.parametrize("field, path, value", [
+    ("query_labels", ("query_labels", 0), 6.5),
+    ("frames.proposals.feat_row", ("frames", 1, "proposals", 2, "feat_row"), 1.5),
+    ("gt.query", ("gt", 0, "query"), 0.7),
+    ("gt.frame", ("gt", 0, "frame"), True),
+    ("gt.visible", ("gt", 0, "visible"), "yes"),
+], ids=["query_labels", "feat_row", "gt.query", "gt.frame", "gt.visible"])
+def test_load_rejects_values_of_the_wrong_json_type(tmp_path, field, path, value):
+    def edit(rec):
+        for key in path[:-1]:
+            rec = rec[key]
+        rec[path[-1]] = value
+    err = _load_error(_saved_with_edit(tmp_path, 1, edit))
+    assert f"segments.jsonl:1: {field}: {value!r} is not a JSON " in err
+
+
 # the BoundingBox rules: zero width, inverted, negative coordinate, NaN,
 # zero height, and the inverted box [5, 5, 1, 1]
 BAD_BOXES = [[1, 0, 1, 1], [2, 0, 1, 1], [-1, 0, 1, 1], [math.nan, 0, 1, 1],

@@ -1,3 +1,4 @@
+import inspect
 import math
 import threading
 
@@ -7,8 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groundbox import tensor as T
+from groundbox.attention import scaled_dot_attention
 from groundbox.gradcheck import finite_diff_check
 from groundbox.tensor import ConfigError, ShapeError, Tape, Tensor, backward
+
+
+def _sum(x):
+    """Sum of every entry; its adjoint is exactly 1 in every entry."""
+    return T.scale(T.mean_all(x), x.data.size)
+
+
+def _softmax_rows(x):
+    """Row-wise softmax of a (m, n) Tensor, as the attention weights: with keys
+    sqrt(n)*I_n and values I_n, scaled_dot_attention returns softmax(x)."""
+    n = x.data.shape[1]
+    return scaled_dot_attention(x, Tensor(math.sqrt(n) * np.eye(n)), Tensor(np.eye(n)))
 
 
 def test_matmul_identity():
@@ -38,7 +52,7 @@ def test_matmul_gradients():
     a = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
     b = Tensor(np.array([[5.0], [6.0]]), requires_grad=True)
     with Tape():
-        loss = T.sum_all(a @ b)
+        loss = _sum(a @ b)
         backward(loss)
     g = np.ones((2, 1))
     assert np.allclose(a.grad, g @ b.data.T)
@@ -58,7 +72,7 @@ def test_matmul_adjoints_under_every_requires_grad_combination(m, k, n, a_grad,
     weight = Tensor(w)
 
     def f():
-        return T.sum_all(T.mul(a @ b, weight))
+        return _sum(T.mul(a @ b, weight))
 
     params = {name: t for name, t in (("a", a), ("b", b)) if t.requires_grad}
     if not params:
@@ -81,7 +95,7 @@ def test_pass_through_adjoints_do_not_share_grad_buffers():
     with Tape():
         p = T.scale(a, 3.0)    # recorded first, so its adjoint reaches a last
         s = T.add(a, b)
-        backward(T.sum_all(T.add(s, p)))
+        backward(_sum(T.add(s, p)))
     assert np.array_equal(a.grad, [4.0, 4.0])
     assert np.array_equal(b.grad, [1.0, 1.0])
     assert np.array_equal(s.grad, [1.0, 1.0])
@@ -101,13 +115,13 @@ def test_no_grad_in_another_thread_leaves_recording_alone():
         with Tape() as tape:
             worker.start()
             assert entered.wait(timeout=10)
-            loss = T.sum_all(T.mul(w, w))  # recorded while the worker is inside no_grad
+            loss = _sum(T.mul(w, w))  # recorded while the worker is inside no_grad
             backward(loss)
     finally:
         release.set()
         worker.join(timeout=10)
     assert not worker.is_alive()
-    assert [node.name for node in tape.nodes] == ["mul", "sum_all"]
+    assert [node.name for node in tape.nodes] == ["mul", "mean_all", "scale"]
     assert np.array_equal(w.grad, [2.0, 4.0])
 
 
@@ -139,19 +153,19 @@ def test_sigmoid_saturates_without_overflow():
 
 
 def test_softmax_uniform_row():
-    y = T.softmax_rows(Tensor([[3.0, 3.0, 3.0, 3.0]])).data
+    y = _softmax_rows(Tensor([[3.0, 3.0, 3.0, 3.0]])).data
     assert np.allclose(y, 0.25)
 
 
 def test_softmax_shift_invariance():
     x = np.array([[1.0, -2.0, 0.5]])
-    a = T.softmax_rows(Tensor(x)).data
-    b = T.softmax_rows(Tensor(x + 123.0)).data
+    a = _softmax_rows(Tensor(x)).data
+    b = _softmax_rows(Tensor(x + 123.0)).data
     assert np.allclose(a, b)
 
 
 def test_softmax_closed_form():
-    y = T.softmax_rows(Tensor([[0.0, math.log(3.0)]])).data
+    y = _softmax_rows(Tensor([[0.0, math.log(3.0)]])).data
     assert np.allclose(y, [[0.25, 0.75]], atol=1e-12)
 
 
@@ -159,14 +173,14 @@ def test_softmax_closed_form():
 @given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 2**31 - 1))
 def test_softmax_rows_sum_to_one(m, n, seed):
     x = np.random.default_rng(seed).uniform(-50, 50, size=(m, n))
-    y = T.softmax_rows(Tensor(x)).data
+    y = _softmax_rows(Tensor(x)).data
     assert np.all(np.abs(y.sum(axis=-1) - 1.0) < 1e-9)
 
 
 def test_relu_and_subgradient_at_zero():
     x = Tensor([-3.0, 0.0, 2.0], requires_grad=True)
     with Tape():
-        loss = T.sum_all(T.relu(x))
+        loss = _sum(T.relu(x))
         backward(loss)
     assert np.allclose(T.relu(Tensor([-3.0])).data, 0.0)
     assert np.allclose(x.grad, [0.0, 0.0, 1.0])
@@ -176,7 +190,7 @@ def test_max_reduce_value_index_and_onehot_grad():
     x = Tensor([[0.2, 0.9, 0.4]], requires_grad=True)
     with Tape():
         m, arg = T.max_last(x)
-        backward(T.sum_all(m))
+        backward(_sum(m))
     assert m.data[0] == 0.9 and arg[0] == 1
     assert np.allclose(x.grad, [[0.0, 1.0, 0.0]])
 
@@ -190,12 +204,18 @@ def test_mean():
     assert T.mean_all(Tensor([1.0, 2.0, 3.0])).item() == 2.0
 
 
+def test_layer_norm_rows_rejects_non_2d():
+    for shape in [(4,), (2, 2, 4)]:
+        with pytest.raises(ShapeError, match="2-D"):
+            T.layer_norm_rows(Tensor(np.ones(shape)), Tensor(np.ones(4)), Tensor(np.zeros(4)))
+
+
 def test_concat_and_split_gradients():
     a = Tensor([[1.0, 2.0]], requires_grad=True)
     b = Tensor([[3.0, 4.0]], requires_grad=True)
     with Tape():
         c = T.concat([a, b], axis=1)
-        backward(T.sum_all(T.mul(c, c)))
+        backward(_sum(T.mul(c, c)))
     assert np.allclose(a.grad, 2 * a.data)
     assert np.allclose(b.grad, 2 * b.data)
 
@@ -234,14 +254,14 @@ def test_dropout_zero_fraction_and_rescale():
 def test_backward_quadratic():
     w = Tensor([1.0, 2.0], requires_grad=True)
     with Tape():
-        backward(T.sum_all(T.mul(w, w)))
+        backward(_sum(T.mul(w, w)))
     assert np.allclose(w.grad, [2.0, 4.0])
 
 
 def test_backward_sigmoid_at_zero():
     w = Tensor([0.0], requires_grad=True)
     with Tape():
-        backward(T.sum_all(T.sigmoid(w)))
+        backward(_sum(T.sigmoid(w)))
     assert np.allclose(w.grad, 0.25)
 
 
@@ -264,7 +284,7 @@ def test_no_grad_blocks_recording():
 def test_grad_accumulates_across_reuse():
     w = Tensor([2.0], requires_grad=True)
     with Tape():
-        backward(T.sum_all(T.add(T.mul(w, w), T.mul(w, w))))
+        backward(_sum(T.add(T.mul(w, w), T.mul(w, w))))
     assert np.allclose(w.grad, [8.0])
 
 
@@ -277,7 +297,7 @@ def test_finite_diff_composed_graph():
 
     def f():
         h = T.relu(T.add_rowvec(x @ W, b))
-        s = T.softmax_rows(T.sigmoid(h))
+        s = _softmax_rows(T.sigmoid(h))
         m, _ = T.max_last(s)
         return T.mean_all(T.log(T.clamp_min(m, 1e-8)))
 
@@ -313,12 +333,12 @@ def test_multi_head_attention_matches_per_head_reference(m, n, heads, w, wv, q_g
                                                          heads))) < 1e-12
 
     def f():
-        return T.sum_all(T.mul(T.multi_head_attention(q, k, v, heads), weight)).item()
+        return _sum(T.mul(T.multi_head_attention(q, k, v, heads), weight)).item()
 
     with Tape() as tape:
         out = T.multi_head_attention(q, k, v, heads)
         if tape.nodes:
-            backward(T.sum_all(T.mul(out, weight)))
+            backward(_sum(T.mul(out, weight)))
     assert [n.name for n in tape.nodes[:1]] == (
         ["multi_head_attention"] if q_grad or k_grad or v_grad else [])
     for t in (q, k, v):
@@ -355,8 +375,101 @@ def test_take_repeated_indices_sum_and_unique_indices_assign():
     for idx in ([3, 1, 3, 3], [4, 0, 2, -4]):  # -4 is row 1: no repeat
         a.grad = None
         with Tape():
-            backward(T.sum_all(T.mul(T.take(a, idx), Tensor(g))))
+            backward(_sum(T.mul(T.take(a, idx), Tensor(g))))
         want = np.zeros_like(a.data)
         np.add.at(want, np.asarray(idx), g)
         assert np.array_equal(a.grad, want)
     assert np.array_equal(a.grad[1], g[3])
+
+
+# Gradient property test for every op that records a tape node. Inputs keep
+# clear of the kinks of relu and clamp_min (0) and of ties in max_last, so
+# central differences are exact up to rounding; log gets positive inputs and
+# layer_norm_rows rows with spread. matmul and multi_head_attention have
+# their own property tests above.
+
+def _normal(rng, shape):
+    return rng.standard_normal(shape)
+
+
+def _off_zero(rng, shape):
+    return rng.choice([-1.0, 1.0], shape) * rng.uniform(0.1, 2.0, shape)
+
+
+def _positive(rng, shape):
+    return rng.uniform(0.5, 2.0, shape)
+
+
+def _spread_rows(rng, shape):
+    """Entries of each row at least 0.3 apart."""
+    return (rng.permuted(np.tile(0.5 * np.arange(shape[-1]), (shape[0], 1)), axis=-1)
+            + rng.uniform(-0.1, 0.1, shape))
+
+
+# op name -> (input makers, each called as maker(rng, (m, n)); op on the Tensors)
+GRAD_CASES = {
+    "add": ([_normal, _normal], T.add),
+    "sub": ([_normal, _normal], T.sub),
+    "mul": ([_normal, _normal], T.mul),
+    "scale": ([_normal], lambda x: T.scale(x, -1.7)),
+    "shift": ([_normal], lambda x: T.shift(x, 0.3)),
+    "transpose": ([_normal], T.transpose),
+    "reshape": ([_normal], lambda x: T.reshape(x, (-1,))),
+    "concat": ([_normal, _normal], lambda a, b: T.concat([a, b, a], axis=1)),
+    "take": ([_normal], lambda x: T.take(x, [x.data.shape[0] - 1, 0, -1])),
+    "add_rowvec": ([_normal, lambda rng, shape: _normal(rng, shape[1:])], T.add_rowvec),
+    "sigmoid": ([_normal], T.sigmoid),
+    "relu": ([_off_zero], T.relu),
+    "log": ([_positive], T.log),
+    "clamp_min": ([_off_zero], lambda x: T.clamp_min(x, 0.0)),
+    "max_last": ([_spread_rows], lambda x: T.max_last(x)[0]),
+    "mean_all": ([_normal], T.mean_all),
+    "mean_axis0": ([_normal], T.mean_axis0),
+    "layer_norm_rows": ([_spread_rows, lambda rng, shape: _normal(rng, shape[1:]),
+                         lambda rng, shape: _normal(rng, shape[1:])], T.layer_norm_rows),
+    # a fresh rng on every call draws the same mask each time
+    "dropout": ([_normal], lambda x: T.dropout(x, 0.4, True, np.random.default_rng(5))),
+}
+
+
+def test_gradient_cases_cover_every_recording_op():
+    recording = {name for name, fn in vars(T).items()
+                 if callable(fn) and not name.startswith("_")
+                 and getattr(fn, "__module__", None) == T.__name__
+                 and "_record(" in inspect.getsource(fn)}
+    assert recording == set(GRAD_CASES) | {"matmul", "multi_head_attention"}
+
+
+@pytest.mark.parametrize("name", sorted(GRAD_CASES))
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4),
+       st.lists(st.booleans(), min_size=3, max_size=3), st.integers(0, 2**31 - 1))
+def test_op_gradients_match_central_differences(name, m, n, flags, seed):
+    makers, op = GRAD_CASES[name]
+    rng = np.random.default_rng(seed)
+    inputs = [Tensor(make(rng, (m, n)), requires_grad=flag)
+              for make, flag in zip(makers, flags)]
+    weight = Tensor(rng.standard_normal(op(*inputs).shape))
+
+    def f():
+        return float(np.sum(op(*inputs).data * weight.data))
+
+    with Tape() as tape:
+        out = op(*inputs)
+        if tape.nodes:
+            backward(_sum(T.mul(out, weight)))
+    if not any(t.requires_grad for t in inputs):
+        assert tape.nodes == []
+    for t in inputs:
+        if not t.requires_grad:
+            assert t.grad is None
+            continue
+        numeric = np.zeros_like(t.data)
+        for i in np.ndindex(t.data.shape):
+            orig = t.data[i]
+            t.data[i] = orig + 1e-6
+            up = f()
+            t.data[i] = orig - 1e-6
+            numeric[i] = (up - f()) / 2e-6
+            t.data[i] = orig
+        assert np.allclose(t.grad, numeric, rtol=1e-6, atol=1e-8)

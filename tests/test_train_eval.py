@@ -20,6 +20,12 @@ from groundbox.tensor import ShapeError, Tape, Tensor, backward
 from groundbox.train import (NesterovSGD, _check_nan, checkpoint_load,
                              checkpoint_save, train)
 
+
+def _sum(x):
+    """Sum of every entry; its adjoint is exactly 1 in every entry."""
+    return T.scale(T.mean_all(x), x.data.size)
+
+
 TINY = GroundingConfig(d=8, D_in=6, V=12, N=4, T=3, T_prime=2,
                        attn_layers=1, attn_heads=2, attn_hidden=8,
                        pe_max_len=8, dropout=0.0, frames_per_segment=4,
@@ -38,7 +44,7 @@ def test_nesterov_drives_quadratic_to_zero():
         opt.zero_grad()
         opt.lookahead()
         with Tape():
-            backward(T.sum_all(T.mul(theta, theta)))
+            backward(_sum(T.mul(theta, theta)))
         opt.step()
     assert np.max(np.abs(theta.data)) < 1e-3
 
@@ -50,7 +56,7 @@ def test_nesterov_lr_zero_is_noop():
         opt.zero_grad()
         opt.lookahead()
         with Tape():
-            backward(T.sum_all(T.mul(theta, theta)))
+            backward(_sum(T.mul(theta, theta)))
         opt.step()
     assert np.array_equal(theta.data, [1.0, 2.0])
 
@@ -61,7 +67,7 @@ def test_nesterov_first_step_matches_hand_update():
     opt = NesterovSGD({"theta": theta}, lr=0.1, momentum=0.9)
     opt.lookahead()
     with Tape():
-        backward(T.sum_all(T.mul(theta, theta)))  # g = 2*theta = 6
+        backward(_sum(T.mul(theta, theta)))  # g = 2*theta = 6
     opt.step()
     assert np.allclose(theta.data, [3.0 - 0.1 * 6.0])
 
@@ -73,7 +79,7 @@ def test_nesterov_second_step_uses_lookahead_gradient():
         opt.zero_grad()
         opt.lookahead()
         with Tape():
-            backward(T.sum_all(T.mul(theta, theta)))
+            backward(_sum(T.mul(theta, theta)))
         opt.step()
     # hand roll: v1=-0.6, th1=2.4; lookahead 2.4-0.54=1.86, g=3.72,
     # v2=0.9*(-0.6)-0.372=-0.912, th2=2.4-0.912=1.488
@@ -91,7 +97,7 @@ def test_nesterov_step_without_grad_raises():
 def test_check_nan_names_first_offending_op():
     x = Tensor(np.array([1e200]), requires_grad=True)
     with Tape() as tape:  # tensors hold their tape weakly; keep it alive
-        loss = T.sum_all(T.mul(T.mul(x, x), T.mul(x, x)))  # overflows to inf
+        loss = _sum(T.mul(T.mul(x, x), T.mul(x, x)))  # overflows to inf
         bad = T.mul(loss, loss)
     with pytest.raises(FloatingPointError, match="mul"):
         _check_nan(bad)
@@ -409,7 +415,7 @@ def test_nesterov_step_rejects_non_finite_gradient():
     opt = NesterovSGD({"other": other, "theta": theta}, lr=0.1, momentum=0.9)
     other.grad = np.array([1.0])
     with Tape():
-        backward(T.sum_all(T.scale(theta, np.inf)))  # inf * 1 in every entry
+        backward(_sum(T.scale(theta, np.inf)))  # inf * 1 in every entry
     assert np.isinf(theta.grad).all()
     with pytest.raises(FloatingPointError, match="non-finite gradient in theta"):
         opt.step()
