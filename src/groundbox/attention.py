@@ -9,14 +9,15 @@ from .tensor import ShapeError, Tensor
 from .encoders import PositionalEncoding
 
 
-def scaled_dot_attention(q, K, V, heads=1):
+def scaled_dot_attention(q, K, V, heads=1, key_mask=None):
     """Softmax(q K^T / sqrt(d)) V, row convention, for each of ``heads`` heads.
 
     q: (m, d) queries, K: (Tk, d) keys, V: (Tk, d_v) values -> (m, d_v).
     With heads=H, head h attends with columns h*d/H..(h+1)*d/H of q and K
     (logits scaled by 1/sqrt(d/H)) over its slice of V's columns; the heads'
     outputs sit side by side. Each output row of a head is a convex combination of
-    that head's value rows.
+    that head's value rows. key_mask: (B, n) booleans when the rows hold B
+    sequences of n keys each (see tensor.multi_head_attention).
     """
     if K.data.shape[0] < 1:
         raise ShapeError("scaled_dot_attention: empty key set")
@@ -26,7 +27,7 @@ def scaled_dot_attention(q, K, V, heads=1):
     if K.data.shape[0] != V.data.shape[0]:
         raise ShapeError(
             f"key/value count mismatch: {K.data.shape} vs {V.data.shape}")
-    return T.multi_head_attention(q, K, V, heads)
+    return T.multi_head_attention(q, K, V, heads, key_mask)
 
 
 class _AttentionLayer:
@@ -50,9 +51,9 @@ class _AttentionLayer:
         self.ln2_b = Tensor([0.0] * d, requires_grad=True)
         self.p_drop = p_drop
 
-    def forward(self, x, training, rng):
+    def forward(self, x, training, rng, mask=None):
         attn = scaled_dot_attention(x @ self.Wq, x @ self.Wk, x @ self.Wv,
-                                    heads=self.n_heads) @ self.Wo
+                                    heads=self.n_heads, key_mask=mask) @ self.Wo
         x = T.layer_norm_rows(T.add(x, T.dropout(attn, self.p_drop, training, rng)),
                               self.ln1_g, self.ln1_b)
         ff = T.add_rowvec(T.relu(T.add_rowvec(x @ self.W1, self.b1)) @ self.W2, self.b2)
@@ -81,6 +82,10 @@ class MultiHeadAttentionStack:
     largest multiple of the head count not exceeding hidden. The feed-forward
     sublayer uses the full hidden width. Input and output width stay at d.
     Positional encoding is applied once before layer 1.
+
+    A minibatch runs as one (B*O, d) block of B query sequences padded to O;
+    a (B, O) mask marks the real queries, and padded ones receive no
+    attention. Every other sublayer works row by row.
     """
 
     def __init__(self, d, layers=2, heads=6, hidden=256, p_drop=0.2,
@@ -90,11 +95,14 @@ class MultiHeadAttentionStack:
                        for _ in range(layers)]
         self.pe = PositionalEncoding(max_len, d)
 
-    def forward(self, queries, training=False, rng=None):
-        """queries: (O, d) Tensor -> (O, d) Tensor of interaction encodings."""
-        x = self.pe.apply(queries)
+    def forward(self, queries, training=False, rng=None, mask=None):
+        """queries: (B*O, d) Tensor -> (B*O, d) Tensor of interaction encodings.
+
+        mask: (B, O) real-query booleans, or None for one sequence of O queries.
+        """
+        x = self.pe.apply(queries, None if mask is None else mask.shape[1])
         for layer in self.layers:
-            x = layer.forward(x, training, rng)
+            x = layer.forward(x, training, rng, mask)
         return x
 
     def params(self, prefix="attn"):

@@ -7,12 +7,14 @@ optional GROUNDBOX_SEED environment variable overrides the seed unless
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from . import tensor as T
 from .config import MODE_NAMES, GroundingConfig, parse_config_file
 from .data import DataError, generate_synthetic, load_segments, save_segments
 from .evaluate import EvalReport, per_class_delta, evaluate_model
@@ -146,8 +148,10 @@ def gradcheck_all_modes(config=None, step=1e-5):
     """Run finite_diff_check on every loss mode; returns {mode: (err, name)}.
 
     Uses a deterministic synthetic instance with dropout off and fixed
-    eval-mode frame sampling; the first train segment is the positive and
-    the next ``negatives`` train segments are its visual negatives.
+    eval-mode frame sampling. The loss is the mean over a batch of two
+    segments with different query counts: the first train segment cut to
+    one query and the second train segment whole. Both take the next
+    ``negatives`` train segments as visual negatives.
     """
     from .config import LossMode
 
@@ -155,20 +159,23 @@ def gradcheck_all_modes(config=None, step=1e-5):
     results = {}
     for mode in LossMode:
         cfg = base.replace(mode=mode, dropout=0.0, train_segments=max(
-            base.train_segments, 1 + base.negatives)).validate()
+            base.train_segments, 2 + base.negatives)).validate()
         rng = np.random.default_rng(cfg.seed)
         vocab, splits = generate_synthetic(cfg, seed=cfg.seed + 1)
-        seg, negs = splits["train"][0], splits["train"][1:1 + cfg.negatives]
-        neg_labels = [lab for lab in range(cfg.V)
-                      if lab not in seg.query_labels][: len(seg.query_labels)]
+        first, second = splits["train"][:2]
+        segs = [dataclasses.replace(first, query_labels=first.query_labels[:1]), second]
+        negs = splits["train"][2:2 + cfg.negatives]
         model = GroundingModel(cfg, rng)
-        frame_indices = list(range(min(cfg.T, seg.n_frames)))
-        if len(frame_indices) < cfg.T:
+        batch = []
+        for seg in segs:
+            neg_labels = [lab for lab in range(cfg.V)
+                          if lab not in seg.query_labels][: len(seg.query_labels)]
+            frame_indices = list(range(min(cfg.T, seg.n_frames)))
             frame_indices += [frame_indices[-1]] * (cfg.T - len(frame_indices))
+            batch.append((seg, negs, [neg_labels], frame_indices))
 
         def f():
-            return model.segment_loss(seg, negs, [neg_labels], training=False,
-                                      frame_indices=frame_indices)
+            return T.mean_all(model.segment_loss(batch, training=False))
 
         results[mode] = finite_diff_check(f, model.params(), step=step)
     return results

@@ -321,10 +321,13 @@ def _segment_from_json(rec, feats, n_labels):
                         f"every frame needs the same count")
     F, N = len(rec["frames"]), counts[0] if counts else 0
     props = [p for fr in rec["frames"] for p in fr["proposals"]]
-    boxes = np.array([p["box"] for p in props], dtype=np.float64).reshape(F, N, 4)
-    rows = _checked_list("frames.proposals.feat_row", [p["feat_row"] for p in props], int)
+    boxes = _checked_list("frames.proposals.box", [c for p in props for c in p["box"]],
+                          "number")
+    boxes = np.array(boxes, dtype=np.float64).reshape(F, N, 4)
+    rows = _checked_list("frames.proposals.feat_row", [p["feat_row"] for p in props],
+                         "integer")
     rows = np.array(rows, dtype=np.int64).reshape(F, N)
-    labels = _checked_list("query_labels", rec["query_labels"], int)
+    labels = _checked_list("query_labels", rec["query_labels"], "integer")
     _check_range("query_labels", np.array(labels, dtype=np.int64), n_labels,
                  "vocabulary.txt labels")
     _check_range("frames.proposals.feat_row", rows, len(feats), "features.bin rows")
@@ -332,8 +335,10 @@ def _segment_from_json(rec, feats, n_labels):
 
     gt = rec["gt"]
     if gt is not None:
-        for key, kind in (("query", int), ("frame", int), ("visible", bool)):
+        for key, kind in (("query", "integer"), ("frame", "integer"),
+                          ("visible", "boolean")):
             _checked_list(f"gt.{key}", [g[key] for g in gt], kind)
+        _checked_list("gt.box", [c for g in gt for c in g["box"]], "number")
         gt = np.array([(g["query"], g["frame"], g["box"], g["visible"]) for g in gt],
                       dtype=GT_DTYPE).view(np.recarray)
         _check_range("gt.query", gt.query, len(labels), "query labels")
@@ -346,13 +351,16 @@ def _segment_from_json(rec, feats, n_labels):
     return SegmentSample(rec["segment_id"], rec["split"], list(labels), frames, gt)
 
 
+_JSON_TYPES = {"integer": (int,), "boolean": (bool,), "number": (int, float)}
+
+
 def _checked_list(field, values, kind):
-    """values, if each is a JSON value of exactly kind (a bool or a float is
-    not an int); else DataError naming field."""
-    bad = [v for v in values if type(v) is not kind]
+    """values, if each is a JSON value of that kind ("integer", "boolean" or
+    "number"); types match exactly, so a bool is neither an integer nor a
+    number and a float is no integer. Else DataError naming field."""
+    bad = [v for v in values if type(v) not in _JSON_TYPES[kind]]
     if bad:
-        raise DataError(f"{field}: {bad[0]!r} is not a JSON "
-                        f"{'integer' if kind is int else 'boolean'}")
+        raise DataError(f"{field}: {bad[0]!r} is not a JSON {kind}")
     return values
 
 

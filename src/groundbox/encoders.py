@@ -79,10 +79,12 @@ class PositionalEncoding:
         table[:, 1::2] = np.cos(angles[:, : table[:, 1::2].shape[1]])
         self.table = table
 
-    def apply(self, x):
-        """Add table rows 0..L-1 to a (L, width) sequence."""
-        L = x.data.shape[0]
+    def apply(self, x, length=None):
+        """Add table rows 0..L-1 to a (L, width) sequence, or to each of the
+        consecutive length-L sequences whose rows x stacks."""
+        rows = x.data.shape[0]
+        L = rows if length is None else length
         if L > self.table.shape[0]:
             raise ShapeError(
                 f"sequence length {L} exceeds positional table {self.table.shape[0]}")
-        return T.add(x, Tensor(self.table[:L]))
+        return T.add(x, Tensor(np.tile(self.table[:L], (rows // L, 1))))

@@ -1,5 +1,5 @@
-"""Model assembly: parameter construction, the per-segment losses for each
-mode, and grounding inference over a segment.
+"""Model assembly: parameter construction, the per-segment losses of a
+minibatch for each mode, and grounding inference over a segment.
 """
 
 import numpy as np
@@ -8,9 +8,8 @@ from . import grounding as G
 from . import tensor as T
 from .attention import MultiHeadAttentionStack
 from .config import LossMode
-from .data import sample_frames
-from .encoders import ProposalEncoder, QueryEncoder
-from .tensor import Tensor, no_grad
+from .encoders import ProposalEncoder, QueryEncoder, VocabularyError
+from .tensor import ShapeError, no_grad
 
 
 class GroundingModel:
@@ -52,34 +51,42 @@ class GroundingModel:
     # ------------------------------------------------------------------
     # forward pieces
 
-    def segment_loss(self, segment, neg_visual, neg_sentences,
-                     training=True, rng=None, frame_indices=None):
-        """Mode-dispatched loss for one positive segment.
+    def segment_loss(self, batch, training=True, noise=None):
+        """Mode-dispatched losses of a minibatch, recorded as one graph.
 
-        neg_visual: list of segments supplying R_t' (frame-index aligned,
-        clamped to their own length); neg_sentences: list of label lists Q'.
+        batch: list of (segment, neg_visual, neg_sentences, frame_indices):
+        neg_visual is a list of segments supplying R_t' (frame-index aligned,
+        clamped to their own length), neg_sentences a list of label lists Q'.
+        Every item needs the same number of frames and of each negative kind.
+        noise: each item's draw_dropout keep-masks, needed when training
+        with dropout. Returns the (B,) tensor of per-segment losses.
         """
         cfg = self.config
         mode = cfg.mode
-        if frame_indices is None:
-            frame_indices = sample_frames(segment.n_frames, cfg.T,
-                                          "train" if training else "eval", rng)
-        Tn = len(frame_indices)
-        Q = self.query_enc.encode(segment.query_labels)
-        blocks = [(segment, frame_indices)] + [
-            (neg, [min(f, neg.n_frames - 1) for f in frame_indices])
-            for neg in neg_visual]
-        # one dropout draw over the stacked block consumes the rng exactly
-        # as one draw per block would
+        segments, neg_visual, neg_sentences, frames = zip(*batch)
+        Tn, n_vis, n_sent = len(frames[0]), len(neg_visual[0]), len(neg_sentences[0])
+        if any((len(f), len(v), len(s)) != (Tn, n_vis, n_sent)
+               for f, v, s in zip(frames, neg_visual, neg_sentences)):
+            raise ShapeError("every item of a batch needs the same number of frames "
+                             "and of each negative kind")
+        Q, mask = self._queries([seg.query_labels for seg in segments])
+        # block-major: every segment's positive block, then every segment's
+        # first visual negative, ...
+        blocks = list(zip(segments, frames)) + [
+            (negs[j], [min(f, negs[j].n_frames - 1) for f in fr])
+            for j in range(n_vis) for negs, fr in zip(neg_visual, frames)]
+        draws = _Draws(self._batch_noise(noise, n_vis, mask) if training else [])
         encoded = self.prop_enc.encode(stack_features(blocks), training=training,
-                                       rng=rng)
-        rows = encoded.data.shape[0] // len(blocks)
-        pos, *vis = [T.take(encoded, np.arange(b * rows, (b + 1) * rows))
-                     for b in range(len(blocks))]
-        cube_pos = G.similarity_cube(Q, pos, Tn)
-        vis_cubes = [G.similarity_cube(Q, P, Tn) for P in vis]
-        sent_cubes = [G.similarity_cube(self.query_enc.encode(labels), pos, Tn)
-                      for labels in neg_sentences]
+                                       rng=draws)
+        B, d = len(batch), encoded.data.shape[1]
+        P = T.reshape(encoded, (1 + n_vis, B, encoded.data.shape[0] // len(blocks), d))
+        pos, *vis = [T.take(P, j) for j in range(1 + n_vis)]    # (B, T*N, d) each
+        cube_pos = G.similarity_cube(Q, pos, Tn, mask)
+        vis_cubes = [G.similarity_cube(Q, P_j, Tn, mask) for P_j in vis]
+        sent_cubes = []
+        for j in range(n_sent):
+            Q_neg, neg_mask = self._queries([s[j] for s in neg_sentences])
+            sent_cubes.append(G.similarity_cube(Q_neg, pos, Tn, neg_mask))
 
         if mode is LossMode.DVSA:
             return G.dvsa_segment_loss(cube_pos, vis_cubes, sent_cubes, cfg.delta)
@@ -88,12 +95,57 @@ class GroundingModel:
         if mode is LossMode.LOSS_WEIGHTING:
             return G.weighted_segment_loss(cube_pos, rank_vec, cfg.lam)
 
-        J = self.attn.forward(Q, training=training, rng=rng)
-        c_lang = G.language_confidence(J, Q, self.lang_W, self.lang_b)
+        rows = T.reshape(Q, (-1, d))                    # (B*O, d), row-wise layers
+        J = self.attn.forward(rows, training=training, rng=draws, mask=mask)
+        c_lang = G.language_confidence(J, rows, self.lang_W, self.lang_b, mask)
         if mode is LossMode.OBJECT_INTERACTION:
             return G.language_weighted_segment_loss(cube_pos, rank_vec, c_lang,
                                                     cfg.lam)
         return G.combined_segment_loss(cube_pos, rank_vec, c_lang, cfg.lam)
+
+    def draw_dropout(self, segment, n_vis, n_frames, rng):
+        """The dropout keep-masks of one training item, as booleans.
+
+        They come from rng in the order a graph of this item alone draws
+        them: its (1+n_vis)*n_frames*N proposal rows, then two (O, d) blocks
+        per attention layer in the modes that run the stack. Drawing them
+        when the item is planned keeps training's rng stream what it is with
+        a graph per segment. Empty when dropout is off.
+        """
+        cfg = self.config
+        if cfg.dropout == 0.0:
+            return []
+        shapes = [((1 + n_vis) * n_frames * segment.frames.shape[1],
+                   self.prop_enc.W1.data.shape[1])]
+        if cfg.mode in (LossMode.OBJECT_INTERACTION, LossMode.FULL_MODEL):
+            shapes += [(len(segment.query_labels), cfg.d)] * (2 * len(self.attn.layers))
+        return [rng.random(shape) >= cfg.dropout for shape in shapes]
+
+    def _batch_noise(self, noise, n_vis, mask):
+        """The items' draw_dropout keep-masks in the batch graph's layout:
+        proposal rows block-major, attention rows padded to (B*O, d)."""
+        if not noise or not noise[0]:
+            return []
+        B, O = mask.shape
+        prop = np.stack([u[0] for u in noise])                  # (B, (1+K)*T*N, h)
+        prop = prop.reshape(B, 1 + n_vis, -1, prop.shape[-1]).swapaxes(0, 1)
+        out = [prop.reshape(-1, prop.shape[-1])]
+        for site in range(1, len(noise[0])):
+            rows = np.ones((B, O, self.config.d), dtype=bool)
+            for b, u in enumerate(noise):
+                rows[b, :len(u[site])] = u[site]
+            out.append(rows.reshape(B * O, -1))
+        return out
+
+    def _queries(self, label_lists):
+        """Query embeddings of B label lists padded to the longest, (B, O, d),
+        and the (B, O) mask of the real ones."""
+        counts = [len(labels) for labels in label_lists]
+        if not all(counts):
+            raise VocabularyError("encode_query: empty label list")
+        O = max(counts)
+        idx = [list(labels) + [0] * (O - len(labels)) for labels in label_lists]
+        return self.query_enc.encode(idx), np.arange(O) < np.array(counts)[:, None]
 
     # ------------------------------------------------------------------
     # inference
@@ -109,22 +161,39 @@ class GroundingModel:
             else:
                 frame_indices = list(range(segment.n_frames))
         with no_grad():
-            Q = self.query_enc.encode(segment.query_labels)
+            Q, mask = self._queries([segment.query_labels])
             P = self.prop_enc.encode(stack_features([(segment, frame_indices)]))
-            cube = G.similarity_cube(Q, P, len(frame_indices))
+            cube = G.similarity_cube(Q, T.reshape(P, (1,) + P.shape), len(frame_indices),
+                                     mask)
         # (O, len(frame_indices)); np.argmax takes the lowest index on ties
-        pick = np.argmax(cube.a.data, axis=-1).tolist()
+        pick = np.argmax(cube.a.data[0], axis=-1).tolist()
         return {(k, f): pick[k][t]
                 for k in range(len(segment.query_labels))
                 for t, f in enumerate(frame_indices)}
 
 
+class _Draws:
+    """Stands in for rng.random in the dropout op: hands out planned
+    keep-masks in the order the graph asks for them, as 1.0 (keep) and 0.0
+    (drop), which the op's test u >= p reads back for any 0 < p < 1."""
+
+    def __init__(self, masks):
+        self._masks = iter(masks)
+
+    def random(self, shape):
+        keep = next(self._masks, None)
+        if keep is None or keep.shape != shape:
+            raise ShapeError(f"no dropout mask of shape {shape}: training with "
+                             "dropout needs each item's draw_dropout noise")
+        return np.where(keep, 1.0, 0.0)
+
+
 def stack_features(blocks):
     """Proposal features of every (segment, frame_indices) block as one
-    (sum of T*N, D_in) float64 array, frame-major."""
+    (sum of T*N, D_in) array, frame-major, in the stored float32."""
     feats = np.stack([segment.frames.feature[frame_indices]
                       for segment, frame_indices in blocks])
-    return feats.reshape(-1, feats.shape[-1]).astype(np.float64)
+    return feats.reshape(-1, feats.shape[-1])
 
 
 def load_into_model(model, flat_params):

@@ -1,11 +1,19 @@
 """Minimal dense-tensor library with reverse-mode automatic differentiation.
 
-Tensors hold float64 numpy arrays. Operations executed while a Tape is
-active are recorded in execution (topological) order; ``backward`` walks
-the tape once in reverse and accumulates gradients into every tensor that
-requires them. The 21 ops are the ones the model runs; the only operator
-sugar is ``@`` (matmul) and ``.T`` (transpose), and negation is
-``scale(x, -1.0)``.
+Tensors hold float64 numpy arrays; only a constant made from a float32
+array (proposal features, as stored) keeps it, and an op that reads it
+computes in float64. Operations executed while a Tape is active are
+recorded in execution (topological) order; ``backward`` walks the tape
+once in reverse and accumulates gradients into every tensor that requires
+them. The 21 ops are the ones the model runs; the only operator sugar is
+``@`` (matmul), and negation is ``scale(x, -1.0)``.
+
+A minibatch runs as one graph. ``matmul`` stays 2-D, so row-wise layers
+see the batch as stacked rows; ``similarity`` and ``multi_head_attention``
+take a leading batch axis (the attention op as B stacked sequences), and
+ragged query counts are padded: ``masked_mean`` averages over the real
+entries only and the attention op's key mask gives padded keys zero
+weight, so padding changes neither a value nor an adjoint.
 
 The active tape is per context (a ``contextvars.ContextVar``): a ``Tape``
 or ``no_grad`` entered in one thread leaves recording in every other
@@ -23,8 +31,9 @@ A node's backward computes an adjoint only for the inputs that have
 ``requires_grad``; the adjoint of a constant operand is never formed. The
 first adjoint written into a tensor is assigned, later ones are added in
 place. On that first write a tensor takes ownership of an array the op has
-just computed, and copies an adjoint passed through unchanged (a view or
-the incoming gradient itself), so no two tensors share a grad buffer.
+just computed, and shares an adjoint passed through unchanged (a view or
+the incoming gradient itself) as a read-only view; a later write into a
+shared grad makes a fresh array, so no write reaches another tensor's grad.
 """
 
 import contextvars
@@ -89,7 +98,11 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_tape_ref")
 
     def __init__(self, data, requires_grad=False):
-        self.data = np.asarray(data, dtype=np.float64)
+        # a float32 constant (proposal features) stays float32; ops that
+        # combine it with float64 operands compute in float64
+        if requires_grad or getattr(data, "dtype", None) != np.float32:
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
         self.grad = None
         self.requires_grad = requires_grad
         self._tape_ref = None
@@ -112,22 +125,24 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    @property
-    def T(self):
-        return transpose(self)
-
 
 def _accumulate(t, g, owned=True):
     """Add adjoint g into t.grad; the caller has checked t.requires_grad.
 
     owned: g was just computed by the op and nothing else refers to it, so
     the first write may keep it. Pass owned=False for an adjoint passed
-    through unchanged; the first write then stores a copy.
+    through unchanged; the first write then keeps a read-only view of it,
+    and a later write replaces that view with a fresh sum.
     """
     if t.grad is None:
-        t.grad = np.asarray(g) if owned else np.array(g)
-    else:
+        t.grad = np.asarray(g)
+        if not owned:
+            t.grad = t.grad.view()
+            t.grad.flags.writeable = False
+    elif t.grad.flags.writeable:
         t.grad += g
+    else:
+        t.grad = t.grad + g
 
 
 def _record(name, out, inputs, backward_fn):
@@ -241,17 +256,6 @@ def matmul(a, b):
     return _record("matmul", out, (a, b), bwd)
 
 
-def transpose(a):
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose expects 2-D, got {a.data.shape}")
-    out = Tensor(a.data.T)
-
-    def bwd(g):
-        _accumulate(a, g.T, owned=False)
-
-    return _record("transpose", out, (a,), bwd)
-
-
 def reshape(a, shape):
     orig = a.data.shape
     out = Tensor(a.data.reshape(shape))
@@ -311,18 +315,44 @@ def add_rowvec(x, b):
 # --------------------------------------------------------------------------
 # nonlinearities and reductions
 
+def _sigmoid(z):
+    """Logistic function of an array without overflow on either side:
+    1/(1+e) for z >= 0 and e/(1+e) below, with e = exp(-|z|)."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(x):
-    y = np.empty_like(x.data)
-    pos = x.data >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
-    ex = np.exp(x.data[~pos])
-    y[~pos] = ex / (1.0 + ex)
+    y = _sigmoid(x.data)
     out = Tensor(y)
 
     def bwd(g):
         _accumulate(x, g * y * (1.0 - y))
 
     return _record("sigmoid", out, (x,), bwd)
+
+
+def similarity(q, p):
+    """sigmoid(q p^T / sqrt(d)) for every leading index, as one tape node.
+
+    q: (..., m, d), p: (..., n, d) with the same leading shape -> (..., m, n).
+    """
+    if (q.data.ndim < 2 or q.data.shape[:-2] != p.data.shape[:-2]
+            or q.data.shape[-1] != p.data.shape[-1]):
+        raise ShapeError(f"similarity: shapes {q.data.shape} and {p.data.shape} "
+                         "do not pair")
+    s = 1.0 / math.sqrt(q.data.shape[-1])
+    y = _sigmoid((q.data @ p.data.swapaxes(-1, -2)) * s)
+    out = Tensor(y)
+
+    def bwd(g):
+        gz = g * y * (1.0 - y) * s
+        if q.requires_grad:
+            _accumulate(q, gz @ p.data)
+        if p.requires_grad:
+            _accumulate(p, gz.swapaxes(-1, -2) @ q.data)
+
+    return _record("similarity", out, (q, p), bwd)
 
 
 def relu(x):
@@ -356,42 +386,52 @@ def clamp_min(x, floor):
     return _record("clamp_min", out, (x,), bwd)
 
 
-def multi_head_attention(q, k, v, heads):
-    """softmax(q_h k_h^T / sqrt(w)) v_h for every head h at once.
+def multi_head_attention(q, k, v, heads, key_mask=None):
+    """softmax(q_h k_h^T / sqrt(w)) v_h for every head h of every sequence at once.
 
-    q: (m, H*w), k: (n, H*w), v: (n, H*w_v); head h owns columns
-    h*w..(h+1)*w of q and k and h*w_v..(h+1)*w_v of v. Returns the heads
-    side by side, (m, H*w_v), as one tape node.
+    q: (B*m, H*w), k: (B*n, H*w), v: (B*n, H*w_v) hold B sequences one after
+    the other; the m query rows of sequence b attend to its n key rows only.
+    Head h owns columns h*w..(h+1)*w of q and k and h*w_v..(h+1)*w_v of v.
+    key_mask: (B, n) booleans; a key whose entry is False gets zero weight.
+    None means one sequence (B = 1) with every key counted. Returns the heads
+    side by side, (B*m, H*w_v), as one tape node.
     """
     for name, t in (("q", q), ("k", k), ("v", v)):
         if t.data.ndim != 2 or t.data.shape[1] % heads:
             raise ShapeError(f"multi_head_attention: {name} of shape {t.data.shape} "
                              f"does not split into {heads} heads")
-    (m, qw), (n, _), wv = q.data.shape, k.data.shape, v.data.shape[1] // heads
-    w = qw // heads
-    qh = q.data.reshape(m, heads, w).transpose(1, 0, 2)       # (H, m, w)
-    kh = k.data.reshape(n, heads, w).transpose(1, 0, 2)       # (H, n, w)
-    vh = v.data.reshape(n, heads, wv).transpose(1, 0, 2)      # (H, n, w_v)
+    B, n = (1, k.data.shape[0]) if key_mask is None else key_mask.shape
+    if k.data.shape[0] != B * n or q.data.shape[0] % B:
+        raise ShapeError(f"multi_head_attention: q {q.data.shape} and k {k.data.shape} "
+                         f"do not hold {B} sequences of {n} keys")
+    m, w, wv = q.data.shape[0] // B, q.data.shape[1] // heads, v.data.shape[1] // heads
+
+    def split(a, rows, width):                                 # -> (B, H, rows, width)
+        return a.reshape(B, rows, heads, width).transpose(0, 2, 1, 3)
+
+    def merge(a):                                              # inverse of split
+        return a.transpose(0, 2, 1, 3).reshape(B * a.shape[2], heads * a.shape[3])
+
+    qh, kh, vh = split(q.data, m, w), split(k.data, n, w), split(v.data, n, wv)
     s = 1.0 / math.sqrt(w)
-    z = (qh @ kh.transpose(0, 2, 1)) * s                      # (H, m, n)
+    z = (qh @ kh.swapaxes(-1, -2)) * s                         # (B, H, m, n)
+    if key_mask is not None:
+        z = np.where(key_mask[:, None, None, :], z, -np.inf)
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor((p @ vh).transpose(1, 0, 2).reshape(m, heads * wv))
-
-    def merge(a):
-        return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
+    out = Tensor(merge(p @ vh))
 
     def bwd(g):
-        gh = g.reshape(m, heads, wv).transpose(1, 0, 2)       # (H, m, w_v)
+        gh = split(g, m, wv)                                   # (B, H, m, w_v)
         if v.requires_grad:
-            _accumulate(v, merge(p.transpose(0, 2, 1) @ gh))
+            _accumulate(v, merge(p.swapaxes(-1, -2) @ gh))
         if q.requires_grad or k.requires_grad:
-            gp = gh @ vh.transpose(0, 2, 1)
+            gp = gh @ vh.swapaxes(-1, -2)
             gz = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * s
             if q.requires_grad:
                 _accumulate(q, merge(gz @ kh))
             if k.requires_grad:
-                _accumulate(k, merge(gz.transpose(0, 2, 1) @ qh))
+                _accumulate(k, merge(gz.swapaxes(-1, -2) @ qh))
 
     return _record("multi_head_attention", out, (q, k, v), bwd)
 
@@ -422,17 +462,22 @@ def mean_all(x):
     return _record("mean_all", out, (x,), bwd)
 
 
-def mean_axis0(x):
-    """Column means of a 2-D tensor -> 1-D tensor."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"mean_axis0 expects 2-D, got {x.data.shape}")
-    m = x.data.shape[0]
-    out = Tensor(x.data.mean(axis=0))
+def masked_mean(x, axis, mask=None):
+    """Mean over ``axis`` of the entries whose mask is set.
+
+    mask: a boolean array that broadcasts against x, or None (every entry
+    counts). A masked-out entry adds nothing to the mean and gets a zero
+    adjoint, whatever its finite value; each mean needs one entry set.
+    """
+    m = np.ones(x.data.shape, dtype=bool) if mask is None else \
+        np.broadcast_to(mask, x.data.shape)
+    count = m.sum(axis=axis, keepdims=True)
+    out = Tensor((x.data * m).sum(axis=axis) / np.squeeze(count, axis))
 
     def bwd(g):
-        _accumulate(x, np.broadcast_to(g[None, :] / m, x.data.shape).copy())
+        _accumulate(x, np.expand_dims(g, axis) / count * m)
 
-    return _record("mean_axis0", out, (x,), bwd)
+    return _record("masked_mean", out, (x,), bwd)
 
 
 def layer_norm_rows(x, gain, bias, eps=1e-6):
@@ -464,11 +509,12 @@ def dropout(x, p, training, rng):
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
     if not training or p == 0.0:
         return x
-    mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
-    out = Tensor(x.data * mask)
+    keep = rng.random(x.data.shape) >= p
+    scale = 1.0 / (1.0 - p)
+    out = Tensor(x.data * np.where(keep, scale, 0.0))
 
     def bwd(g):
-        _accumulate(x, g * mask)
+        _accumulate(x, g * np.where(keep, scale, 0.0))
 
     return _record("dropout", out, (x,), bwd)
 

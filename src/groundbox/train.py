@@ -9,7 +9,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import (IntegrityError, SamplingError, disjoint_rows, label_members,
-                   sample_negative_sentence)
+                   sample_frames, sample_negative_sentence)
 from .evaluate import evaluate_model
 from .model import GroundingModel, load_into_model
 from .tensor import ShapeError, Tape, backward
@@ -20,6 +20,10 @@ log = logging.getLogger(__name__)
 class NesterovSGD:
     """Lookahead Nesterov: gradients are taken at theta + mu*v, then
     v <- mu*v - lr*g and theta <- theta + v.
+
+    Updates are written in place: theta is kept in one buffer per parameter
+    while the parameter holds the lookahead point, and the parameter's own
+    array is the scratch space of step, so no step allocates.
     """
 
     def __init__(self, params, lr, momentum):
@@ -27,7 +31,8 @@ class NesterovSGD:
         self.lr = lr
         self.momentum = momentum
         self.velocity = {name: np.zeros_like(t.data) for name, t in params.items()}
-        self._base = None
+        self._theta = {name: np.empty_like(t.data) for name, t in params.items()}
+        self._ahead = False
 
     def zero_grad(self):
         for t in self.params.values():
@@ -35,10 +40,12 @@ class NesterovSGD:
 
     def lookahead(self):
         """Shift parameters to theta + mu*v before computing gradients."""
-        self._base = {name: t.data.copy() for name, t in self.params.items()}
-        if self.momentum != 0.0:
-            for name, t in self.params.items():
-                t.data = t.data + self.momentum * self.velocity[name]
+        for name, t in self.params.items():
+            np.copyto(self._theta[name], t.data)
+            if self.momentum != 0.0:
+                np.multiply(self.momentum, self.velocity[name], out=t.data)
+                np.add(self._theta[name], t.data, out=t.data)
+        self._ahead = True
 
     def step(self):
         """Apply the update using gradients accumulated at the lookahead point.
@@ -46,9 +53,6 @@ class NesterovSGD:
         Every gradient is checked before any parameter moves: a missing one
         raises ShapeError, a non-finite one FloatingPointError naming it.
         """
-        if self._base is None:
-            # grads were taken at theta itself (no lookahead call)
-            self._base = {name: t.data.copy() for name, t in self.params.items()}
         for name, t in self.params.items():
             if t.grad is None:
                 raise ShapeError(f"parameter {name} has no gradient; "
@@ -56,10 +60,14 @@ class NesterovSGD:
             if not np.isfinite(t.grad).all():
                 raise FloatingPointError(f"non-finite gradient in {name}")
         for name, t in self.params.items():
-            v = self.momentum * self.velocity[name] - self.lr * t.grad
-            self.velocity[name] = v
-            t.data = self._base[name] + v
-        self._base = None
+            theta, v = self._theta[name], self.velocity[name]
+            if not self._ahead:  # grads were taken at theta itself
+                np.copyto(theta, t.data)
+            np.multiply(self.momentum, v, out=v)
+            np.multiply(self.lr, t.grad, out=t.data)   # the lookahead point is spent
+            np.subtract(v, t.data, out=v)
+            np.add(theta, v, out=t.data)
+        self._ahead = False
 
 
 def _check_nan(loss):
@@ -102,11 +110,9 @@ def train(config, splits, out_dir=None, log_every=0):
         order = rng.permutation(len(train_set))
         losses = []
         for start in range(0, len(order), config.batch):
-            batch = [train_set[i] for i in order[start:start + config.batch]]
-            opt.zero_grad()
-            opt.lookahead()
-            inv = 1.0 / len(batch)
-            for seg in batch:
+            batch, noise = [], []
+            for i in order[start:start + config.batch]:
+                seg = train_set[i]
                 # both negative kinds come from label-disjoint pool segments:
                 # a visual negative that contains the query object would
                 # penalize the very match being learned
@@ -115,12 +121,17 @@ def train(config, splits, out_dir=None, log_every=0):
                 neg_sents = [sample_negative_sentence(train_set, seg, rng,
                                                       members).query_labels
                              for _ in range(config.negatives)]
-                with Tape():
-                    loss = model.segment_loss(seg, neg_viss, neg_sents,
-                                              training=True, rng=rng)
-                    _check_nan(loss)
-                    backward(T.scale(loss, inv))
-                losses.append(loss.item())
+                frames = sample_frames(seg.n_frames, config.T, "train", rng)
+                batch.append((seg, neg_viss, neg_sents, frames))
+                noise.append(model.draw_dropout(seg, len(neg_viss), len(frames), rng))
+            opt.zero_grad()
+            opt.lookahead()
+            with Tape():
+                seg_losses = model.segment_loss(batch, training=True, noise=noise)
+                loss = T.mean_all(seg_losses)
+                _check_nan(loss)
+                backward(loss)
+            losses.extend(seg_losses.data.tolist())
             opt.step()
         train_loss = float(np.mean(losses)) if losses else 0.0
 

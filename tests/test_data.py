@@ -316,15 +316,19 @@ def test_load_rejects_feat_row_out_of_range(tmp_path):
     assert "segments.jsonl:5: frames.proposals.feat_row: [-1]" in err
 
 
-# a float or bool where a JSON integer belongs, a string where a bool belongs;
-# each would otherwise load silently cast (6.5 as label 6, "yes" as True)
+# a float or bool where a JSON integer belongs, a string where a bool belongs,
+# a bool or string where a box coordinate (a JSON number) belongs; each would
+# otherwise load silently cast (6.5 as label 6, "yes" as True, true as 1.0)
 @pytest.mark.parametrize("field, path, value", [
     ("query_labels", ("query_labels", 0), 6.5),
     ("frames.proposals.feat_row", ("frames", 1, "proposals", 2, "feat_row"), 1.5),
     ("gt.query", ("gt", 0, "query"), 0.7),
     ("gt.frame", ("gt", 0, "frame"), True),
     ("gt.visible", ("gt", 0, "visible"), "yes"),
-], ids=["query_labels", "feat_row", "gt.query", "gt.frame", "gt.visible"])
+    ("frames.proposals.box", ("frames", 1, "proposals", 2, "box", 1), True),
+    ("gt.box", ("gt", 0, "box", 0), "253.45"),
+], ids=["query_labels", "feat_row", "gt.query", "gt.frame", "gt.visible",
+        "proposals.box", "gt.box"])
 def test_load_rejects_values_of_the_wrong_json_type(tmp_path, field, path, value):
     def edit(rec):
         for key in path[:-1]:

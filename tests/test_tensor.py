@@ -368,6 +368,40 @@ def test_multi_head_attention_rejects_widths_that_do_not_split():
                                Tensor(np.ones((4, 3))), 2)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.integers(1, 3),
+       st.integers(0, 2**31 - 1))
+def test_multi_head_attention_batch_matches_each_sequence_alone(lengths, heads, seed):
+    # B key sequences padded to the longest: each real query row must equal
+    # attention over its own sequence's real keys alone, and padded keys must
+    # get no adjoint
+    rng = np.random.default_rng(seed)
+    B, n, w = len(lengths), max(lengths), 2
+    mask = np.arange(n)[None, :] < np.array(lengths)[:, None]
+    q, k, v = (Tensor(rng.standard_normal((B * n, heads * w)), requires_grad=True)
+               for _ in range(3))
+    weight = rng.standard_normal((B * n, heads * w))
+    with Tape():
+        out = T.multi_head_attention(q, k, v, heads, key_mask=mask)
+        backward(_sum(T.mul(out, Tensor(weight))))
+    for b, L in enumerate(lengths):
+        rows = slice(b * n, b * n + L)
+        alone = _attention_reference(q.data[rows], k.data[rows], v.data[rows], heads)
+        assert np.max(np.abs(out.data[rows] - alone)) < 1e-12
+    assert not k.grad[~mask.reshape(-1)].any() and not v.grad[~mask.reshape(-1)].any()
+
+
+def test_similarity_matches_scaled_sigmoid_of_each_product():
+    rng = np.random.default_rng(6)
+    q, p = rng.standard_normal((3, 2, 4)), rng.standard_normal((3, 5, 4))
+    out = T.similarity(Tensor(q), Tensor(p)).data
+    for b in range(3):
+        want = 1.0 / (1.0 + np.exp(-(q[b] @ p[b].T) / 2.0))
+        assert np.allclose(out[b], want, rtol=0, atol=1e-15)
+    with pytest.raises(ShapeError, match="do not pair"):
+        T.similarity(Tensor(q), Tensor(p[:2]))
+
+
 def test_take_repeated_indices_sum_and_unique_indices_assign():
     rng = np.random.default_rng(4)
     a = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
@@ -413,18 +447,20 @@ GRAD_CASES = {
     "mul": ([_normal, _normal], T.mul),
     "scale": ([_normal], lambda x: T.scale(x, -1.7)),
     "shift": ([_normal], lambda x: T.shift(x, 0.3)),
-    "transpose": ([_normal], T.transpose),
     "reshape": ([_normal], lambda x: T.reshape(x, (-1,))),
     "concat": ([_normal, _normal], lambda a, b: T.concat([a, b, a], axis=1)),
     "take": ([_normal], lambda x: T.take(x, [x.data.shape[0] - 1, 0, -1])),
     "add_rowvec": ([_normal, lambda rng, shape: _normal(rng, shape[1:])], T.add_rowvec),
     "sigmoid": ([_normal], T.sigmoid),
+    "similarity": ([_normal, _normal], T.similarity),
     "relu": ([_off_zero], T.relu),
     "log": ([_positive], T.log),
     "clamp_min": ([_off_zero], lambda x: T.clamp_min(x, 0.0)),
     "max_last": ([_spread_rows], lambda x: T.max_last(x)[0]),
     "mean_all": ([_normal], T.mean_all),
-    "mean_axis0": ([_normal], T.mean_axis0),
+    # the last row is padding wherever there is more than one
+    "masked_mean": ([_normal], lambda x: T.masked_mean(
+        x, 0, (np.arange(x.shape[0]) < max(1, x.shape[0] - 1))[:, None])),
     "layer_norm_rows": ([_spread_rows, lambda rng, shape: _normal(rng, shape[1:]),
                          lambda rng, shape: _normal(rng, shape[1:])], T.layer_norm_rows),
     # a fresh rng on every call draws the same mask each time

@@ -6,6 +6,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groundbox import tensor as T
 from groundbox.cli import GRADCHECK_DEFAULTS, GRADCHECK_TOLERANCE, gradcheck_all_modes
@@ -86,6 +88,33 @@ def test_nesterov_second_step_uses_lookahead_gradient():
     assert np.allclose(theta.data, [1.488])
 
 
+def test_nesterov_in_place_update_is_bit_identical_to_out_of_place_formulas():
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((6, 6))
+    start = {"a": rng.standard_normal((2, 3)), "b": rng.standard_normal(5)}
+
+    def grad(theta):  # a gradient that depends on where it is taken
+        return A[:theta.size, :theta.size] @ theta.reshape(-1) + np.sin(theta).reshape(-1)
+
+    params = {n: Tensor(a.copy(), requires_grad=True) for n, a in start.items()}
+    opt = NesterovSGD(params, lr=0.07, momentum=0.9)
+    ref = {n: a.copy() for n, a in start.items()}
+    vel = {n: np.zeros_like(a) for n, a in start.items()}
+    for _ in range(20):
+        opt.zero_grad()
+        opt.lookahead()
+        for n, t in params.items():
+            t.grad = grad(t.data).reshape(t.data.shape)
+        opt.step()
+        for n in ref:  # the formulas written out of place, as they were
+            base = ref[n].copy()
+            ahead = ref[n] + 0.9 * vel[n]
+            vel[n] = 0.9 * vel[n] - 0.07 * grad(ahead).reshape(ahead.shape)
+            ref[n] = base + vel[n]
+    for n, t in params.items():
+        assert np.array_equal(t.data, ref[n]) and np.array_equal(opt.velocity[n], vel[n])
+
+
 def test_nesterov_step_without_grad_raises():
     theta = Tensor(np.array([1.0]), requires_grad=True)
     opt = NesterovSGD({"theta": theta}, lr=0.1, momentum=0.9)
@@ -149,8 +178,9 @@ def test_segment_loss_finite_in_every_mode():
         model = GroundingModel(cfg, np.random.default_rng(1))
         rng = np.random.default_rng(2)
         with Tape():
-            loss = model.segment_loss(seg, [nv], [ns.query_labels],
-                                      training=True, rng=rng)
+            loss = T.mean_all(model.segment_loss(
+                [(seg, [nv], [ns.query_labels], [0, 1, 2])], training=True,
+                noise=[model.draw_dropout(seg, 1, 3, rng)]))
             backward(loss)
         assert np.isfinite(loss.item())
 
@@ -194,11 +224,13 @@ def test_segment_loss_encodes_proposals_once_per_segment(monkeypatch):
                                np.random.default_rng(1))
         calls.clear()
         with Tape():
-            backward(model.segment_loss(seg, [nv1, nv2], [ns.query_labels],
-                                        training=True,
-                                        rng=np.random.default_rng(2)))
-        # the positive and both visual negatives in one (3*T*N, D_in) block
-        assert calls == [3 * TINY.T * TINY.N]
+            backward(T.mean_all(model.segment_loss(
+                [(seg, [nv1, nv2], [ns.query_labels], [0, 1, 2]),
+                 (nv1, [nv2, seg], [ns.query_labels], [1, 2, 3])],
+                training=True)))
+        # both positives and all four visual negatives in one
+        # (B*(1+K)*T*N, D_in) block
+        assert calls == [2 * 3 * TINY.T * TINY.N]
 
 
 def test_gradcheck_all_modes_at_a_second_shape():
@@ -399,8 +431,8 @@ def test_tape_is_freed_by_reference_counting(mode):
     gc.disable()
     try:
         with tape:
-            loss = model.segment_loss(seg, [nv], [ns.query_labels],
-                                      training=True, rng=np.random.default_rng(2))
+            loss = T.mean_all(model.segment_loss(
+                [(seg, [nv], [ns.query_labels], [0, 1, 2])], training=True))
             backward(loss)
         assert loss.tape is tape and len(tape.nodes) > 10
         del tape
@@ -431,3 +463,79 @@ def test_train_names_a_segment_without_negatives():
     splits = dict(splits, train=pool[:2] + [loner] + pool[3:])
     with pytest.raises(SamplingError, match="'loner'"):
         train(TINY, splits)
+
+
+# --------------------------------------------------------------------------
+# one graph per minibatch
+
+PARITY = TINY.replace(min_objects=3, max_objects=3, V=16, train_segments=8)
+_, PARITY_SPLITS = generate_synthetic(PARITY)
+
+
+def _loss_and_grads(model, batch, noise=None):
+    """(per-segment losses, {name: gradient of their mean}) of one batch."""
+    params = model.params()
+    for t in params.values():
+        t.grad = None
+    with Tape():
+        losses = model.segment_loss(batch, training=True, noise=noise)
+        backward(T.mean_all(losses))
+    return losses.data.copy(), {n: np.zeros_like(t.data) if t.grad is None else t.grad
+                                for n, t in params.items()}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(list(LossMode)), st.integers(1, 2), st.sampled_from([0.0, 0.3]),
+       st.data())
+def test_batched_losses_and_gradients_match_batches_of_one(mode, K, p_drop, data):
+    # with dropout on, every item keeps the draws it was planned with
+    pool = PARITY_SPLITS["train"]
+    model = GroundingModel(PARITY.replace(mode=mode.value, negatives=K,
+                                          dropout=p_drop), np.random.default_rng(3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    index = st.integers(0, len(pool) - 1)
+    batch = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        seg = pool[data.draw(index)]
+        O = data.draw(st.integers(1, PARITY.max_objects))  # the default 1..3
+        labels = st.lists(st.integers(0, PARITY.V - 1), min_size=1,
+                          max_size=PARITY.max_objects)
+        batch.append((dataclasses.replace(seg, query_labels=seg.query_labels[:O]),
+                      [pool[data.draw(index)] for _ in range(K)],
+                      [data.draw(labels) for _ in range(K)],
+                      sorted(data.draw(st.lists(st.integers(0, 3), min_size=PARITY.T,
+                                                max_size=PARITY.T)))))
+    noise = [model.draw_dropout(seg, K, PARITY.T, rng) for seg, *_ in batch]
+    losses, grads = _loss_and_grads(model, batch, noise)
+    alone = [_loss_and_grads(model, [item], [u]) for item, u in zip(batch, noise)]
+    assert losses.shape == (len(batch),)
+    assert np.max(np.abs(losses - [l[0] for l, _ in alone])) <= 1e-12
+    for name, g in grads.items():
+        mean = sum(gs[name] for _, gs in alone) / len(batch)
+        assert np.allclose(g, mean, rtol=1e-9, atol=1e-12), name
+
+
+@pytest.mark.parametrize("mode", list(LossMode))
+def test_padded_query_labels_change_no_loss_and_no_gradient(mode, monkeypatch):
+    # segment 0 has one query and one sentence-negative label, segment 1
+    # three of each, so row 0 of every padded label block is padding from
+    # column 1 on
+    pool = PARITY_SPLITS["train"]
+    short = dataclasses.replace(pool[0], query_labels=pool[0].query_labels[:1])
+    batch = [(short, [pool[2]], [[9]], [0, 1, 2]),
+             (pool[1], [pool[3]], [[10, 11, 12]], [1, 2, 3])]
+    model = GroundingModel(PARITY.replace(mode=mode.value), np.random.default_rng(4))
+    encode = model.query_enc.encode
+    results = []
+    for pad in (0, 5, 15):
+        def padded(idx, pad=pad):
+            idx = np.array(idx)
+            idx[0, 1:] = pad
+            return encode(idx)
+
+        monkeypatch.setattr(model.query_enc, "encode", padded)
+        results.append(_loss_and_grads(model, batch))
+    (loss0, grads0), *rest = results
+    for loss, grads in rest:
+        assert np.array_equal(loss, loss0)
+        assert all(np.array_equal(grads[n], grads0[n]) for n in grads0)
