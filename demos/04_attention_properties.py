@@ -22,7 +22,7 @@ stack = MultiHeadAttentionStack(d=8, layers=2, heads=3, hidden=12, p_drop=0.0,
 
 def layers_only(x):
     for layer in stack.layers:
-        x = layer.forward(x, training=False, rng=None)
+        x = layer.forward(x)
     return x
 
 

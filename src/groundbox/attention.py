@@ -51,13 +51,15 @@ class _AttentionLayer:
         self.ln2_b = Tensor([0.0] * d, requires_grad=True)
         self.p_drop = p_drop
 
-    def forward(self, x, training, rng, mask=None):
+    def forward(self, x, mask=None, keep=(None, None)):
+        """keep: the dropout keep-masks of the attention and feed-forward
+        outputs, each of x's shape or None (no dropout)."""
         attn = scaled_dot_attention(x @ self.Wq, x @ self.Wk, x @ self.Wv,
                                     heads=self.n_heads, key_mask=mask) @ self.Wo
-        x = T.layer_norm_rows(T.add(x, T.dropout(attn, self.p_drop, training, rng)),
+        x = T.layer_norm_rows(T.add(x, T.dropout(attn, keep[0], self.p_drop)),
                               self.ln1_g, self.ln1_b)
         ff = T.add_rowvec(T.relu(T.add_rowvec(x @ self.W1, self.b1)) @ self.W2, self.b2)
-        return T.layer_norm_rows(T.add(x, T.dropout(ff, self.p_drop, training, rng)),
+        return T.layer_norm_rows(T.add(x, T.dropout(ff, keep[1], self.p_drop)),
                                  self.ln2_g, self.ln2_b)
 
     def params(self, prefix):
@@ -95,14 +97,17 @@ class MultiHeadAttentionStack:
                        for _ in range(layers)]
         self.pe = PositionalEncoding(max_len, d)
 
-    def forward(self, queries, training=False, rng=None, mask=None):
+    def forward(self, queries, mask=None, keep=None):
         """queries: (B*O, d) Tensor -> (B*O, d) Tensor of interaction encodings.
 
         mask: (B, O) real-query booleans, or None for one sequence of O queries.
+        keep: two (B*O, d) dropout keep-masks per layer, in layer order, or
+        None (no dropout).
         """
+        keep = keep or [None] * (2 * len(self.layers))
         x = self.pe.apply(queries, None if mask is None else mask.shape[1])
-        for layer in self.layers:
-            x = layer.forward(x, training, rng, mask)
+        for i, layer in enumerate(self.layers):
+            x = layer.forward(x, mask, keep[2 * i:2 * i + 2])
         return x
 
     def params(self, prefix="attn"):

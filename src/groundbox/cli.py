@@ -175,7 +175,7 @@ def gradcheck_all_modes(config=None, step=1e-5):
             batch.append((seg, negs, [neg_labels], frame_indices))
 
         def f():
-            return T.mean_all(model.segment_loss(batch, training=False))
+            return T.mean_all(model.segment_loss(batch))
 
         results[mode] = finite_diff_check(f, model.params(), step=step)
     return results

@@ -2,6 +2,7 @@
 
 import dataclasses
 import enum
+import math
 from dataclasses import dataclass
 
 from .tensor import ConfigError
@@ -61,6 +62,9 @@ class GroundingConfig:
             self.mode = MODE_NAMES[self.mode]
 
     def validate(self):
+        for field, kind in _FIELD_TYPES.items():
+            if kind is float and not math.isfinite(getattr(self, field)):
+                raise ConfigError(f"{field} must be finite, got {getattr(self, field)}")
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError(f"lam must be in [0, 1], got {self.lam}")
         if self.delta <= 0:

@@ -282,13 +282,21 @@ def load_segments(data_dir):
     vocab = Vocabulary((data_dir / "vocabulary.txt")
                        .read_text(encoding="utf-8").splitlines())
 
-    manifest = json.loads((data_dir / "features.json").read_text(encoding="utf-8"))
+    path = data_dir / "features.json"
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        rows, dim = (checked_counts(key, [manifest[key]])[0] for key in ("rows", "dim"))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    except KeyError as exc:
+        raise DataError(f"{path}: missing field {exc}") from None
+    except (ValueError, TypeError) as exc:  # bad JSON, or JSON but no object
+        raise DataError(f"{path}: not a JSON object: {exc}") from exc
     raw = (data_dir / "features.bin").read_bytes()
-    expected = manifest["rows"] * manifest["dim"] * 4
-    if len(raw) != expected:
-        raise IntegrityError(
-            f"features.bin holds {len(raw)} bytes, manifest expects {expected}")
-    feats = np.frombuffer(raw, dtype="<f4").reshape(manifest["rows"], manifest["dim"])
+    if len(raw) != rows * dim * 4:
+        raise IntegrityError(f"{data_dir / 'features.bin'} holds {len(raw)} bytes, "
+                             f"{path.name} expects {rows * dim * 4}")
+    feats = np.frombuffer(raw, dtype="<f4").reshape(rows, dim)
 
     splits = {}
     first = None  # (proposals per frame, line) of the first record
@@ -361,6 +369,14 @@ def _checked_list(field, values, kind):
     bad = [v for v in values if type(v) not in _JSON_TYPES[kind]]
     if bad:
         raise DataError(f"{field}: {bad[0]!r} is not a JSON {kind}")
+    return values
+
+
+def checked_counts(field, values):
+    """values, if each is a nonnegative JSON integer; else DataError naming field."""
+    bad = [v for v in _checked_list(field, values, "integer") if v < 0]
+    if bad:
+        raise DataError(f"{field}: {bad[0]} is negative")
     return values
 
 

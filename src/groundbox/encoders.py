@@ -52,14 +52,16 @@ class ProposalEncoder:
         self.W2 = T.uniform_init(rng, (h, d), fan_in=h)
         self.b2 = T.uniform_init(rng, (d,), fan_in=h)
 
-    def encode(self, features, training=False, rng=None):
-        """features: (m, D_in) array or Tensor -> (m, d) Tensor."""
+    def encode(self, features, keep=None):
+        """features: (m, D_in) array or Tensor -> (m, d) Tensor.
+
+        keep: (m, h) dropout keep-mask of the hidden layer, or None (no dropout).
+        """
         x = features if isinstance(features, Tensor) else Tensor(features)
         if x.data.ndim != 2 or x.data.shape[1] != self.D_in:
             raise ShapeError(
                 f"proposal features must be (m, {self.D_in}), got {x.data.shape}")
-        h1 = T.relu(T.dropout(T.add_rowvec(x @ self.W1, self.b1),
-                              self.p_drop, training, rng))
+        h1 = T.relu(T.dropout(T.add_rowvec(x @ self.W1, self.b1), keep, self.p_drop))
         return T.add_rowvec(h1 @ self.W2, self.b2)
 
     def params(self, prefix="prop"):

@@ -13,7 +13,12 @@ def finite_diff_check(f, params, step=1e-5):
     (dropout off, no ties at max/relu kinks). ``params`` maps names to
     parameter Tensors. Returns the max over all parameter elements of
 
-        |analytic - numeric| / max(|analytic|, |numeric|, 1e-8)
+        |analytic - numeric| / max(|analytic|, |numeric|, 1e-4)
+
+    and the element that attains it. Where both values lie below the 1e-4
+    floor the reading is an absolute error: at a 1e-4 threshold such an entry
+    passes only if it is off by at most 1e-8, so an exact entry far below the
+    differencing noise is not failed on its relative error.
     """
     for t in params.values():
         t.grad = None
@@ -37,7 +42,7 @@ def finite_diff_check(f, params, step=1e-5):
                 flat[i] = orig
                 numeric = (up - down) / (2.0 * step)
                 a = analytic[name].reshape(-1)[i]
-                err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+                err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-4)
                 if err > worst:
                     worst = err
                     worst_name = f"{name}[{i}]"

@@ -51,15 +51,15 @@ class GroundingModel:
     # ------------------------------------------------------------------
     # forward pieces
 
-    def segment_loss(self, batch, training=True, noise=None):
+    def segment_loss(self, batch, noise=None):
         """Mode-dispatched losses of a minibatch, recorded as one graph.
 
         batch: list of (segment, neg_visual, neg_sentences, frame_indices):
         neg_visual is a list of segments supplying R_t' (frame-index aligned,
         clamped to their own length), neg_sentences a list of label lists Q'.
         Every item needs the same number of frames and of each negative kind.
-        noise: each item's draw_dropout keep-masks, needed when training
-        with dropout. Returns the (B,) tensor of per-segment losses.
+        noise: each item's draw_dropout keep-masks, or None (no dropout).
+        Returns the (B,) tensor of per-segment losses.
         """
         cfg = self.config
         mode = cfg.mode
@@ -75,9 +75,8 @@ class GroundingModel:
         blocks = list(zip(segments, frames)) + [
             (negs[j], [min(f, negs[j].n_frames - 1) for f in fr])
             for j in range(n_vis) for negs, fr in zip(neg_visual, frames)]
-        draws = _Draws(self._batch_noise(noise, n_vis, mask) if training else [])
-        encoded = self.prop_enc.encode(stack_features(blocks), training=training,
-                                       rng=draws)
+        keep = self._batch_noise(noise, n_vis, mask)
+        encoded = self.prop_enc.encode(stack_features(blocks), keep[0] if keep else None)
         B, d = len(batch), encoded.data.shape[1]
         P = T.reshape(encoded, (1 + n_vis, B, encoded.data.shape[0] // len(blocks), d))
         pos, *vis = [T.take(P, j) for j in range(1 + n_vis)]    # (B, T*N, d) each
@@ -96,7 +95,7 @@ class GroundingModel:
             return G.weighted_segment_loss(cube_pos, rank_vec, cfg.lam)
 
         rows = T.reshape(Q, (-1, d))                    # (B*O, d), row-wise layers
-        J = self.attn.forward(rows, training=training, rng=draws, mask=mask)
+        J = self.attn.forward(rows, mask, keep[1:])
         c_lang = G.language_confidence(J, rows, self.lang_W, self.lang_b, mask)
         if mode is LossMode.OBJECT_INTERACTION:
             return G.language_weighted_segment_loss(cube_pos, rank_vec, c_lang,
@@ -170,22 +169,6 @@ class GroundingModel:
         return {(k, f): pick[k][t]
                 for k in range(len(segment.query_labels))
                 for t, f in enumerate(frame_indices)}
-
-
-class _Draws:
-    """Stands in for rng.random in the dropout op: hands out planned
-    keep-masks in the order the graph asks for them, as 1.0 (keep) and 0.0
-    (drop), which the op's test u >= p reads back for any 0 < p < 1."""
-
-    def __init__(self, masks):
-        self._masks = iter(masks)
-
-    def random(self, shape):
-        keep = next(self._masks, None)
-        if keep is None or keep.shape != shape:
-            raise ShapeError(f"no dropout mask of shape {shape}: training with "
-                             "dropout needs each item's draw_dropout noise")
-        return np.where(keep, 1.0, 0.0)
 
 
 def stack_features(blocks):

@@ -6,7 +6,9 @@ computes in float64. Operations executed while a Tape is active are
 recorded in execution (topological) order; ``backward`` walks the tape
 once in reverse and accumulates gradients into every tensor that requires
 them. The 21 ops are the ones the model runs; the only operator sugar is
-``@`` (matmul), and negation is ``scale(x, -1.0)``.
+``@`` (matmul), and negation is ``scale(x, -1.0)``. Nothing in a graph
+draws random numbers: ``dropout`` applies a boolean keep-mask planned
+before the forward pass.
 
 A minibatch runs as one graph. ``matmul`` stays 2-D, so row-wise layers
 see the batch as stacked rows; ``similarity`` and ``multi_head_attention``
@@ -503,13 +505,16 @@ def layer_norm_rows(x, gain, bias, eps=1e-6):
     return _record("layer_norm", out, (x, gain, bias), bwd)
 
 
-def dropout(x, p, training, rng):
-    """Inverted dropout: zero with probability p, scale survivors by 1/(1-p)."""
+def dropout(x, keep, p):
+    """Inverted dropout with a planned mask: zero the entries whose ``keep``
+    is False and scale the survivors by 1/(1-p). keep: booleans of x's shape,
+    or None (no dropout: x itself). Draws nothing."""
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
+    if keep is None:
         return x
-    keep = rng.random(x.data.shape) >= p
+    if keep.shape != x.data.shape:
+        raise ShapeError(f"dropout: mask of shape {keep.shape} for input {x.data.shape}")
     scale = 1.0 / (1.0 - p)
     out = Tensor(x.data * np.where(keep, scale, 0.0))
 

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .data import (IntegrityError, SamplingError, disjoint_rows, label_members,
-                   sample_frames, sample_negative_sentence)
+from .data import (DataError, IntegrityError, SamplingError, checked_counts,
+                   disjoint_rows, label_members, sample_frames,
+                   sample_negative_sentence)
 from .evaluate import evaluate_model
 from .model import GroundingModel, load_into_model
 from .tensor import ShapeError, Tape, backward
@@ -127,7 +128,7 @@ def train(config, splits, out_dir=None, log_every=0):
             opt.zero_grad()
             opt.lookahead()
             with Tape():
-                seg_losses = model.segment_loss(batch, training=True, noise=noise)
+                seg_losses = model.segment_loss(batch, noise)
                 loss = T.mean_all(seg_losses)
                 _check_nan(loss)
                 backward(loss)
@@ -180,17 +181,18 @@ def checkpoint_save(path_prefix, params, config=None):
 def checkpoint_load(path_prefix):
     """Returns ({name: float64 array}, config dict or None)."""
     path_prefix = Path(path_prefix)
+    json_path, bin_path = path_prefix.with_suffix(".json"), path_prefix.with_suffix(".bin")
     try:
-        manifest = json.loads(path_prefix.with_suffix(".json")
-                              .read_text(encoding="utf-8"))
-        shapes = {name: tuple(s) for name, s in manifest["params"].items()}
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise IntegrityError(f"corrupt checkpoint manifest: {exc}") from exc
-    raw = path_prefix.with_suffix(".bin").read_bytes()
+        manifest = json.loads(json_path.read_text(encoding="utf-8"))
+        shapes = {name: tuple(checked_counts(f"params.{name}", s))
+                  for name, s in manifest["params"].items()}
+    except (json.JSONDecodeError, DataError, KeyError, TypeError) as exc:
+        raise IntegrityError(f"{json_path}: corrupt checkpoint manifest: {exc}") from exc
+    raw = bin_path.read_bytes()
     expected = sum(int(np.prod(s)) for s in shapes.values()) * 8
     if len(raw) != expected:
         raise IntegrityError(
-            f"checkpoint binary holds {len(raw)} bytes, manifest expects {expected}")
+            f"{bin_path} holds {len(raw)} bytes, {json_path.name} expects {expected}")
     flat = np.frombuffer(raw, dtype="<f8")
     out = {}
     offset = 0

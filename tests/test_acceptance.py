@@ -15,14 +15,12 @@ import numpy as np
 import pytest
 
 from groundbox import grounding as G
-from groundbox import tensor as T
 from groundbox.attention import MultiHeadAttentionStack, scaled_dot_attention
 from groundbox.cli import GRADCHECK_TOLERANCE, gradcheck_all_modes
 from groundbox.config import GroundingConfig, LossMode
 from groundbox.data import generate_synthetic, save_segments
 from groundbox.evaluate import (box_accuracy, evaluate_model, iou,
                                 upper_bound)
-from groundbox.model import GroundingModel
 from groundbox.tensor import Tensor
 from groundbox.train import train
 
@@ -203,7 +201,7 @@ def test_criterion_7_attention_properties(verdict):
 
     def plain(x):  # the stack's layers without its positional encoding
         for layer in pos.layers:
-            x = layer.forward(x, training=False, rng=None)
+            x = layer.forward(x)
         return x
 
     seq = rng.standard_normal((7, 8))

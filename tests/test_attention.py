@@ -56,7 +56,7 @@ def _stack(d=8, seed=0):
 def _layers_only(stack, x):
     """The stack's layers without its positional encoding."""
     for layer in stack.layers:
-        x = layer.forward(x, training=False, rng=None)
+        x = layer.forward(x)
     return x
 
 
@@ -112,3 +112,16 @@ def test_stack_gradcheck():
 
     err, _ = finite_diff_check(f, stack.params(), step=1e-5)
     assert err < 1e-4
+
+
+def test_stack_passes_two_keep_masks_per_layer_in_order():
+    stack = MultiHeadAttentionStack(d=8, layers=2, heads=3, hidden=12, p_drop=0.5,
+                                    max_len=16, rng=np.random.default_rng(0))
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.standard_normal((5, 8)))
+    keep = [rng.random((5, 8)) >= 0.5 for _ in range(4)]
+    want = stack.pe.apply(x)
+    for i, layer in enumerate(stack.layers):
+        want = layer.forward(want, keep=keep[2 * i:2 * i + 2])
+    assert np.array_equal(stack.forward(x, keep=keep).data, want.data)
+    assert not np.allclose(stack.forward(x).data, want.data)

@@ -1,6 +1,7 @@
+import dataclasses
 import json
+import math
 
-import numpy as np
 import pytest
 
 from groundbox.cli import main
@@ -89,6 +90,16 @@ def test_config_requires_nonnegative_sigma():
     GroundingConfig(sigma=0.0).validate()
     with pytest.raises(ConfigError, match="sigma"):
         GroundingConfig(sigma=-0.1).validate()
+
+
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(GroundingConfig) if f.type is float]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+def test_config_refuses_non_finite_floats(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+        GroundingConfig.from_dict({field: value})
 
 
 def test_config_from_dict_names_unknown_keys():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -228,7 +229,23 @@ def test_load_detects_truncated_features(tmp_path):
     save_segments(tmp_path, vocab, splits)
     blob = (tmp_path / "features.bin").read_bytes()
     (tmp_path / "features.bin").write_bytes(blob[:-4])
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match=re.escape(str(tmp_path / "features.bin"))):
+        load_segments(tmp_path)
+
+
+@pytest.mark.parametrize("text, want", [
+    ('{"rows": 10}', "missing field 'dim'"),
+    ('{"rows": "x", "dim": 4}', "rows: 'x' is not a JSON integer"),
+    ('{"rows": 10, "dim": 4.0}', "dim: 4.0 is not a JSON integer"),
+    ('{"rows": -1, "dim": 4}', "rows: -1 is negative"),
+    ('{"rows": 10, "dim": ', "not a JSON object"),
+    ('[10, 4]', "not a JSON object"),
+])
+def test_load_names_features_json_and_the_field(tmp_path, text, want):
+    vocab, splits = generate_synthetic(SMALL)
+    save_segments(tmp_path, vocab, splits)
+    (tmp_path / "features.json").write_text(text)
+    with pytest.raises(DataError, match=re.escape(f"{tmp_path / 'features.json'}: {want}")):
         load_segments(tmp_path)
 
 

@@ -61,12 +61,15 @@ def test_proposal_encoder_rejects_wrong_width():
 def test_proposal_encoder_eval_deterministic_train_stochastic():
     enc = ProposalEncoder(D_in=10, d=4, rng=np.random.default_rng(0), p_drop=0.5)
     x = np.random.default_rng(1).standard_normal((3, 10))
-    a = enc.encode(x, training=False).data
-    b = enc.encode(x, training=False).data
+    a = enc.encode(x).data
+    b = enc.encode(x).data
     assert np.array_equal(a, b)
-    c = enc.encode(x, training=True, rng=np.random.default_rng(2)).data
-    d = enc.encode(x, training=True, rng=np.random.default_rng(3)).data
+    h = enc.W1.data.shape[1]
+    keep_c, keep_d = (np.random.default_rng(seed).random((3, h)) >= 0.5 for seed in (2, 3))
+    c = enc.encode(x, keep_c).data
+    d = enc.encode(x, keep_d).data
     assert not np.array_equal(c, d)
+    assert np.array_equal(enc.encode(x, keep_c).data, c)  # the mask is the only noise
 
 
 def test_proposal_encoder_gradcheck():

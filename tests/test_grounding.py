@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from groundbox import grounding as G
-from groundbox import tensor as T
 from groundbox.gradcheck import finite_diff_check
 from groundbox.tensor import ShapeError, Tensor
 

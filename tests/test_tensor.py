@@ -227,28 +227,35 @@ def test_log_rejects_nonpositive():
 
 def test_dropout_eval_mode_is_identity():
     x = Tensor(np.random.default_rng(0).standard_normal(100))
-    y = T.dropout(x, 0.5, training=False, rng=None)
-    assert y is x
+    assert T.dropout(x, None, 0.5) is x
 
 
 def test_dropout_p_zero_is_identity():
     x = Tensor([1.0, 2.0])
-    assert T.dropout(x, 0.0, training=True,
-                     rng=np.random.default_rng(0)) is x
+    assert np.array_equal(T.dropout(x, np.array([True, True]), 0.0).data, x.data)
 
 
 def test_dropout_rejects_p_one():
     with pytest.raises(ConfigError):
-        T.dropout(Tensor([1.0]), 1.0, training=True, rng=np.random.default_rng(0))
+        T.dropout(Tensor([1.0]), np.array([True]), 1.0)
+    with pytest.raises(ConfigError):
+        T.dropout(Tensor([1.0]), None, 1.0)
+
+
+def test_dropout_rejects_a_mask_of_another_shape():
+    with pytest.raises(ShapeError):
+        T.dropout(Tensor(np.ones((2, 3))), np.ones((3, 2), dtype=bool), 0.5)
 
 
 def test_dropout_zero_fraction_and_rescale():
-    rng = np.random.default_rng(7)
-    x = Tensor(np.ones(10_000))
-    y = T.dropout(x, 0.5, training=True, rng=rng).data
-    frac = np.mean(y == 0)
-    assert abs(frac - 0.5) < 0.05
-    assert np.allclose(y[y != 0], 2.0)  # survivors rescaled by 1/(1-p)
+    keep = np.arange(12).reshape(3, 4) % 3 != 0
+    x = Tensor(np.arange(1.0, 13.0).reshape(3, 4), requires_grad=True)
+    with Tape():
+        y = T.dropout(x, keep, 0.25)
+        backward(_sum(y))
+    assert np.array_equal(y.data == 0, ~keep)
+    assert np.allclose(y.data[keep], x.data[keep] / 0.75)  # survivors scaled by 1/(1-p)
+    assert np.allclose(x.grad, np.where(keep, 1 / 0.75, 0.0))
 
 
 def test_backward_quadratic():
@@ -303,6 +310,28 @@ def test_finite_diff_composed_graph():
 
     err, _ = finite_diff_check(f, {"W": W, "b": b}, step=1e-5)
     assert err < 1e-4
+
+
+def _off_scale(x, s, rel, off):
+    """scale(x, s) recorded with an adjoint off by rel relative and off absolute."""
+    out = Tensor(x.data * s)
+
+    def bwd(g):
+        T._accumulate(x, g * s * (1.0 + rel) + off)
+
+    return T._record("scale", out, (x,), bwd)
+
+
+@pytest.mark.parametrize("s, rel, off", [(1.0, 0.01, 0.0), (1e-6, 0.0, 1e-7)])
+def test_finite_diff_check_rejects_a_wrong_adjoint(s, rel, off):
+    # a 1% error on an O(1) entry, and a 1e-7 error on a 1e-6 entry
+    x = Tensor([0.7], requires_grad=True)
+    err, where = finite_diff_check(lambda: T.mean_all(_off_scale(x, s, rel, off)),
+                                   {"x": x})
+    assert err > 1e-4 and where == "x[0]"
+    exact, _ = finite_diff_check(lambda: T.mean_all(_off_scale(x, s, 0.0, 0.0)),
+                                 {"x": x})
+    assert exact < 1e-6
 
 
 def _attention_reference(q, k, v, heads):
@@ -463,8 +492,9 @@ GRAD_CASES = {
         x, 0, (np.arange(x.shape[0]) < max(1, x.shape[0] - 1))[:, None])),
     "layer_norm_rows": ([_spread_rows, lambda rng, shape: _normal(rng, shape[1:]),
                          lambda rng, shape: _normal(rng, shape[1:])], T.layer_norm_rows),
-    # a fresh rng on every call draws the same mask each time
-    "dropout": ([_normal], lambda x: T.dropout(x, 0.4, True, np.random.default_rng(5))),
+    # a fixed checkerboard keep-mask
+    "dropout": ([_normal], lambda x: T.dropout(
+        x, np.indices(x.shape).sum(axis=0) % 2 == 0, 0.4)),
 }
 
 

@@ -179,10 +179,34 @@ def test_segment_loss_finite_in_every_mode():
         rng = np.random.default_rng(2)
         with Tape():
             loss = T.mean_all(model.segment_loss(
-                [(seg, [nv], [ns.query_labels], [0, 1, 2])], training=True,
+                [(seg, [nv], [ns.query_labels], [0, 1, 2])],
                 noise=[model.draw_dropout(seg, 1, 3, rng)]))
             backward(loss)
         assert np.isfinite(loss.item())
+
+
+@pytest.mark.parametrize("mode", list(LossMode))
+def test_draw_dropout_shapes_order_and_keep_fraction(mode):
+    _, splits = generate_synthetic(TINY)
+    seg = splits["train"][0]
+    O, K, p = len(seg.query_labels), 2, 0.3
+    model = GroundingModel(TINY.replace(mode=mode.value, dropout=p),
+                           np.random.default_rng(1))
+    masks = model.draw_dropout(seg, K, TINY.T, np.random.default_rng(2))
+    shapes = [((1 + K) * TINY.T * TINY.N, model.prop_enc.W1.data.shape[1])]
+    if mode in (LossMode.OBJECT_INTERACTION, LossMode.FULL_MODEL):
+        shapes += [(O, TINY.d)] * (2 * TINY.attn_layers)
+    assert [m.shape for m in masks] == shapes
+    # proposal rows first, then each attention layer's two sites, from one stream
+    rng = np.random.default_rng(2)
+    for m, shape in zip(masks, shapes):
+        assert m.dtype == bool and np.array_equal(m, rng.random(shape) >= p)
+    rng = np.random.default_rng(3)
+    kept = np.concatenate([m.ravel() for _ in range(40)
+                           for m in model.draw_dropout(seg, K, TINY.T, rng)])
+    assert abs(kept.mean() - (1 - p)) < 0.03
+    off = GroundingModel(TINY.replace(mode=mode.value), np.random.default_rng(1))
+    assert off.draw_dropout(seg, K, TINY.T, np.random.default_rng(2)) == []
 
 
 def test_model_rejects_ragged_frames(tmp_path):
@@ -226,8 +250,7 @@ def test_segment_loss_encodes_proposals_once_per_segment(monkeypatch):
         with Tape():
             backward(T.mean_all(model.segment_loss(
                 [(seg, [nv1, nv2], [ns.query_labels], [0, 1, 2]),
-                 (nv1, [nv2, seg], [ns.query_labels], [1, 2, 3])],
-                training=True)))
+                 (nv1, [nv2, seg], [ns.query_labels], [1, 2, 3])])))
         # both positives and all four visual negatives in one
         # (B*(1+K)*T*N, D_in) block
         assert calls == [2 * 3 * TINY.T * TINY.N]
@@ -307,7 +330,7 @@ def test_checkpoint_corrupt_manifest(tmp_path):
     checkpoint_save(tmp_path / "ck", model.params())
     p = tmp_path / "ck.json"
     p.write_text(p.read_text()[:40])
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match=re.escape(str(p))):
         checkpoint_load(tmp_path / "ck")
 
 
@@ -316,7 +339,22 @@ def test_checkpoint_truncated_blob(tmp_path):
     checkpoint_save(tmp_path / "ck", model.params())
     blob = (tmp_path / "ck.bin").read_bytes()
     (tmp_path / "ck.bin").write_bytes(blob[:-8])
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match=re.escape(str(tmp_path / "ck.bin"))):
+        checkpoint_load(tmp_path / "ck")
+
+
+@pytest.mark.parametrize("shape, want", [
+    ([8, -1], "-1 is negative"), ([8.0, 1], "8.0 is not a JSON integer"),
+    ("8", "'8' is not a JSON integer"), ([True], "True is not a JSON integer")])
+def test_checkpoint_shapes_are_nonnegative_integers(tmp_path, shape, want):
+    model = GroundingModel(TINY, np.random.default_rng(0))
+    checkpoint_save(tmp_path / "ck", model.params())
+    p = tmp_path / "ck.json"
+    manifest = json.loads(p.read_text())
+    manifest["params"]["query.W"] = shape
+    p.write_text(json.dumps(manifest))
+    with pytest.raises(IntegrityError, match=re.escape(f"{p}: ") + ".*"
+                       + re.escape(f"params.query.W: {want}")):
         checkpoint_load(tmp_path / "ck")
 
 
@@ -432,7 +470,7 @@ def test_tape_is_freed_by_reference_counting(mode):
     try:
         with tape:
             loss = T.mean_all(model.segment_loss(
-                [(seg, [nv], [ns.query_labels], [0, 1, 2])], training=True))
+                [(seg, [nv], [ns.query_labels], [0, 1, 2])]))
             backward(loss)
         assert loss.tape is tape and len(tape.nodes) > 10
         del tape
@@ -478,7 +516,7 @@ def _loss_and_grads(model, batch, noise=None):
     for t in params.values():
         t.grad = None
     with Tape():
-        losses = model.segment_loss(batch, training=True, noise=noise)
+        losses = model.segment_loss(batch, noise)
         backward(T.mean_all(losses))
     return losses.data.copy(), {n: np.zeros_like(t.data) if t.grad is None else t.grad
                                 for n, t in params.items()}
