@@ -1,5 +1,5 @@
 """Model assembly: parameter construction, the per-segment losses of a
-minibatch for each mode, and grounding inference over a segment.
+minibatch for each mode, and grounding inference over a minibatch.
 """
 
 import numpy as np
@@ -9,7 +9,7 @@ from . import tensor as T
 from .attention import MultiHeadAttentionStack
 from .config import LossMode
 from .encoders import ProposalEncoder, QueryEncoder, VocabularyError
-from .tensor import ShapeError, no_grad
+from .tensor import ShapeError, Tensor, no_grad
 
 
 class GroundingModel:
@@ -149,26 +149,43 @@ class GroundingModel:
     # ------------------------------------------------------------------
     # inference
 
-    def predict(self, segment, frame_indices=None):
-        """Ground every query at every requested frame (default: frames
-        carrying a gt record, else all frames). Returns
-        {(query_idx, frame_idx): index of the chosen proposal}.
+    def predict(self, segments):
+        """Ground every query of each segment at each frame that carries a gt
+        record (every frame of a segment without one), in one no_grad pass.
+
+        Proposal rows of all segments go through the MLP as one block, are
+        scattered into a (B, F_max*N, d) block padded with whole zero frames,
+        and meet the padded queries in one similarity cube. Returns, per
+        segment, {(query_idx, frame_idx): index of the chosen proposal}.
         """
-        if frame_indices is None:
-            if segment.gt is not None and len(segment.gt):
-                frame_indices = np.unique(segment.gt.frame).tolist()
-            else:
-                frame_indices = list(range(segment.n_frames))
+        if not segments:
+            return []
+        N = segments[0].frames.shape[1]
+        if any(seg.frames.shape[1] != N for seg in segments):
+            raise ShapeError("every segment of a predict batch needs the same "
+                             "number of proposals per frame")
+        frames = [np.unique(seg.gt["frame"]) if seg.gt is not None and len(seg.gt)
+                  else np.arange(seg.n_frames) for seg in segments]
+        counts = np.array([len(f) for f in frames]) * N      # proposal rows per segment
+        width = counts.max()
         with no_grad():
-            Q, mask = self._queries([segment.query_labels])
-            P = self.prop_enc.encode(stack_features([(segment, frame_indices)]))
-            cube = G.similarity_cube(Q, T.reshape(P, (1,) + P.shape), len(frame_indices),
-                                     mask)
-        # (O, len(frame_indices)); np.argmax takes the lowest index on ties
-        pick = np.argmax(cube.a.data[0], axis=-1).tolist()
-        return {(k, f): pick[k][t]
-                for k in range(len(segment.query_labels))
-                for t, f in enumerate(frame_indices)}
+            Q, mask = self._queries([seg.query_labels for seg in segments])
+            feats = np.concatenate([seg.frames["feature"][f].reshape(-1, self.prop_enc.D_in)
+                                    for seg, f in zip(segments, frames)])
+            encoded = self.prop_enc.encode(feats).data
+            P = np.zeros((len(segments), width, encoded.shape[1]))
+            P[np.arange(width) < counts[:, None]] = encoded
+            cube = G.similarity_cube(Q, Tensor(P), width // N, mask)
+        # (B, O, F_max); padding is whole frames, so np.argmax still takes
+        # the lowest index on ties
+        pick = np.argmax(cube.a.data, axis=-1)
+        out = []
+        for seg, f, p in zip(segments, frames, pick):
+            p = p[:len(seg.query_labels), :len(f)].tolist()
+            f = f.tolist()
+            out.append({(k, fr): row[t] for k, row in enumerate(p)
+                        for t, fr in enumerate(f)})
+        return out
 
 
 def stack_features(blocks):

@@ -289,9 +289,13 @@ def take(a, indices):
     out = Tensor(a.data[idx])
 
     def bwd(g):
+        distinct = np.unique(idx % len(a.data)).size == idx.size
+        if distinct and a.grad is not None and a.grad.flags.writeable:
+            a.grad[idx] += g  # no row is taken twice: add into the rows in place
+            return
         ga = np.zeros_like(a.data)
-        if np.unique(idx % len(ga)).size == idx.size:
-            ga[idx] = g  # no row is taken twice: assignment is the sum
+        if distinct:
+            ga[idx] = g  # assignment is the sum
         else:
             np.add.at(ga, idx, g)
         _accumulate(a, ga)

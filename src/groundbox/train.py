@@ -89,8 +89,10 @@ def train(config, splits, out_dir=None, log_every=0):
     history rows: (epoch, train_loss, val_accuracy). The checkpoint with the
     best validation macro accuracy wins; it is restored into the returned
     model and written to out_dir if given. Raises SamplingError before the
-    first epoch when a train segment has no label-disjoint negative.
+    first epoch when a train segment has no label-disjoint negative, and
+    ConfigError naming the field when the config does not validate.
     """
+    config.validate()
     rng = np.random.default_rng(config.seed)
     model = GroundingModel(config, rng)
     params = model.trainable_params()

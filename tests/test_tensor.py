@@ -498,6 +498,17 @@ GRAD_CASES = {
 }
 
 
+# Graphs where one tensor feeds two takes: the second take backward adds into
+# the grad the first one left (in place, as no row repeats), and into a
+# read-only grad shared with a pass-through op (never in place).
+TAKE_CASES = {
+    "take_twice": ([_normal], lambda x: T.concat(
+        [T.take(x, np.arange(x.shape[0])[::-1]), T.take(x, [x.shape[0] - 1, 0, -1])])),
+    "take_after_pass_through": ([_normal], lambda x: T.concat(
+        [T.take(x, np.arange(x.shape[0])[::-1]), T.shift(x, 0.3)])),
+}
+
+
 def test_gradient_cases_cover_every_recording_op():
     recording = {name for name, fn in vars(T).items()
                  if callable(fn) and not name.startswith("_")
@@ -506,12 +517,12 @@ def test_gradient_cases_cover_every_recording_op():
     assert recording == set(GRAD_CASES) | {"matmul", "multi_head_attention"}
 
 
-@pytest.mark.parametrize("name", sorted(GRAD_CASES))
+@pytest.mark.parametrize("name", sorted(GRAD_CASES) + sorted(TAKE_CASES))
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4),
        st.lists(st.booleans(), min_size=3, max_size=3), st.integers(0, 2**31 - 1))
 def test_op_gradients_match_central_differences(name, m, n, flags, seed):
-    makers, op = GRAD_CASES[name]
+    makers, op = {**GRAD_CASES, **TAKE_CASES}[name]
     rng = np.random.default_rng(seed)
     inputs = [Tensor(make(rng, (m, n)), requires_grad=flag)
               for make, flag in zip(makers, flags)]

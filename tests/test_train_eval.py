@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import math
 import re
 import weakref
 
@@ -13,12 +14,13 @@ from groundbox import tensor as T
 from groundbox.cli import GRADCHECK_DEFAULTS, GRADCHECK_TOLERANCE, gradcheck_all_modes
 from groundbox.config import GroundingConfig, LossMode
 from groundbox.data import (GT_DTYPE, DataError, IntegrityError, SamplingError,
-                            generate_synthetic, load_segments, save_segments)
+                            SegmentSample, generate_synthetic, load_segments,
+                            save_segments)
 from groundbox.encoders import ProposalEncoder
 from groundbox.evaluate import (EvalReport, box_accuracy, evaluate_model, iou,
                                 per_class_delta, upper_bound)
 from groundbox.model import GroundingModel, load_into_model
-from groundbox.tensor import ShapeError, Tape, Tensor, backward
+from groundbox.tensor import ConfigError, ShapeError, Tape, Tensor, backward
 from groundbox.train import (NesterovSGD, _check_nan, checkpoint_load,
                              checkpoint_save, train)
 
@@ -139,22 +141,63 @@ def test_model_predict_covers_all_gt_frames():
     vocab, splits = generate_synthetic(TINY)
     model = GroundingModel(TINY, np.random.default_rng(0))
     seg = splits["val"][0]
-    preds = model.predict(seg)
+    [preds] = model.predict([seg])
     want = {(g.query, g.frame) for g in seg.gt}
     assert want <= set(preds)
     assert set(preds.values()) <= set(range(TINY.N))
 
 
 def test_predict_takes_lowest_index_on_ties():
-    # every proposal of the frame carries the same feature, so every query
-    # ties across all of them
+    # every proposal of the segment's one gt frame carries the same feature,
+    # so every query ties across all of them
     _, splits = generate_synthetic(TINY)
     seg = splits["val"][0]
-    seg.frames.feature[0] = seg.frames.feature[0, 0]
+    seg.gt = seg.gt[:1]
+    f = int(seg.gt["frame"][0])
+    seg.frames.feature[f] = seg.frames.feature[f, 0]
     model = GroundingModel(TINY, np.random.default_rng(0))
-    preds = model.predict(seg, frame_indices=[0])
-    assert set(preds) == {(k, 0) for k in range(len(seg.query_labels))}
+    [preds] = model.predict([seg])
+    assert set(preds) == {(k, f) for k in range(len(seg.query_labels))}
     assert all(i == 0 for i in preds.values())
+
+
+_, PREDICT_SPLITS = generate_synthetic(TINY.replace(test_segments=8))
+PREDICT_POOL = PREDICT_SPLITS["val"] + PREDICT_SPLITS["test"]
+
+
+def _predict_item(draw, b):
+    """A pool segment cut to a drawn query count and gt-frame count (none:
+    no gt at all), with its first grounded frame's proposals tied or not."""
+    seg = PREDICT_POOL[draw(st.integers(0, len(PREDICT_POOL) - 1))]
+    n_queries = draw(st.integers(1, len(seg.query_labels)))
+    gt = seg.gt[seg.gt["query"] < n_queries]
+    gt_frames = np.unique(gt["frame"])
+    gt = gt[np.isin(gt["frame"], gt_frames[:draw(st.integers(0, len(gt_frames)))])]
+    frames = seg.frames.copy()
+    tie_frame = None
+    if draw(st.booleans()):
+        tie_frame = int(gt["frame"][0]) if len(gt) else 0
+        frames.feature[tie_frame] = frames.feature[tie_frame, 0]
+    item = SegmentSample(f"b{b}", "test", seg.query_labels[:n_queries], frames,
+                         gt if len(gt) else None)
+    return item, tie_frame
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_batched_predict_matches_one_segment_at_a_time(data):
+    model = GroundingModel(TINY, np.random.default_rng(5))
+    items = [_predict_item(data.draw, b) for b in range(data.draw(st.integers(1, 5)))]
+    segments = [seg for seg, _ in items]
+    batched = model.predict(segments)
+    assert batched == [model.predict([seg])[0] for seg in segments]
+    for (seg, tie_frame), picks in zip(items, batched):
+        frames = (range(seg.n_frames) if seg.gt is None
+                  else np.unique(seg.gt["frame"]).tolist())
+        assert set(picks) == {(k, f) for k in range(len(seg.query_labels))
+                              for f in frames}
+        if tie_frame is not None:
+            assert all(i == 0 for (_, f), i in picks.items() if f == tie_frame)
 
 
 def test_trainable_params_by_mode():
@@ -431,6 +474,69 @@ def test_evaluate_model_order_invariance():
     assert r1.upper_bound == r2.upper_bound
 
 
+def _reference_report(samples, predictions, vocab):
+    """box_accuracy and upper_bound tallied one segment at a time, as
+    (per_class, macro_accuracy, upper bound)."""
+    def tally(hits_of):
+        hits, counts = {}, {}
+        for seg in samples:
+            if seg.gt is not None:
+                for k, hit in zip(seg.gt.query.tolist(), hits_of(seg).tolist()):
+                    label = vocab[seg.query_labels[k]]
+                    counts[label] = counts.get(label, 0) + 1
+                    hits[label] = hits.get(label, 0) + hit
+        per_class = {label: {"acc": hits.get(label, 0) / n, "n": n}
+                     for label, n in counts.items()}
+        macro = (sum(v["acc"] for v in per_class.values()) / len(per_class)
+                 if per_class else 0.0)
+        return per_class, macro
+
+    def predicted(seg):
+        boxes = [predictions.get((seg.segment_id, q, f))
+                 for q, f in zip(seg.gt.query.tolist(), seg.gt.frame.tolist())]
+        missing = [j for j, box in enumerate(boxes) if box is None]
+        hit = iou(np.reshape([seg.gt.box[j] if box is None else box
+                              for j, box in enumerate(boxes)], (-1, 4)),
+                  seg.gt.box) > 0.5
+        hit[missing] = False
+        return hit
+
+    def best(seg):
+        return (iou(seg.frames.box[seg.gt.frame], seg.gt.box[:, None]) > 0.5).any(axis=-1)
+
+    per_class, macro = tally(predicted)
+    return per_class, macro, tally(best)[1]
+
+
+@pytest.mark.filterwarnings("ignore:no prediction")
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_split_tally_matches_per_segment_reference(seed):
+    rng = np.random.default_rng(seed)
+    pool = PREDICT_POOL + PREDICT_SPLITS["train"][:2]       # train segments: no gt
+    samples = [pool[i] for i in rng.permutation(len(pool))[:rng.integers(1, len(pool))]]
+    vocab = [f"v{i}" for i in rng.permutation(TINY.V)]
+    predictions = {}
+    for seg in samples:
+        for g in seg.gt if seg.gt is not None else []:
+            draw = rng.random()
+            if draw < 0.2:
+                continue                                     # missing: a miss
+            box = g.box if draw < 0.5 else seg.frames[g.frame][rng.integers(TINY.N)].box
+            predictions[(seg.segment_id, g.query, g.frame)] = box
+    per_class, macro, bound = _reference_report(samples, predictions, vocab)
+    report = box_accuracy(samples, predictions, vocab)
+    assert list(report.per_class.items()) == list(per_class.items())
+    assert report.macro_accuracy == macro
+    assert upper_bound(samples, vocab) == bound
+
+
+def test_evaluate_model_of_no_segments_is_empty():
+    model = GroundingModel(TINY, np.random.default_rng(0))
+    report = evaluate_model(model, [])
+    assert (report.per_class, report.macro_accuracy, report.upper_bound) == ({}, 0.0, 0.0)
+
+
 def test_report_save_load_round_trip(tmp_path):
     rep = EvalReport(per_class={"a": {"acc": 0.5, "n": 2}},
                      macro_accuracy=0.5, upper_bound=1.0)
@@ -440,6 +546,18 @@ def test_report_save_load_round_trip(tmp_path):
     assert loaded.per_class == rep.per_class
     assert loaded.macro_accuracy == rep.macro_accuracy
     assert loaded.upper_bound == rep.upper_bound
+
+
+def test_report_save_that_fails_keeps_the_earlier_report(tmp_path):
+    path = tmp_path / "report.json"
+    EvalReport(per_class={"a": {"acc": 0.5, "n": 2}}, macro_accuracy=0.5).save(path)
+    before = path.read_bytes()
+    bad = EvalReport(per_class={"a": {"acc": 0.5, "n": 2}, "b": {"acc": object()}},
+                     macro_accuracy=0.5)
+    with pytest.raises(TypeError):                        # fails mid-dump
+        bad.save(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 def test_per_class_delta_ordering_and_ties():
@@ -490,6 +608,12 @@ def test_nesterov_step_rejects_non_finite_gradient():
     with pytest.raises(FloatingPointError, match="non-finite gradient in theta"):
         opt.step()
     assert other.data[0] == 3.0  # no parameter moved
+
+
+def test_train_validates_its_config():
+    _, splits = generate_synthetic(TINY)
+    with pytest.raises(ConfigError, match="lr"):
+        train(TINY.replace(lr=math.nan), splits)
 
 
 def test_train_names_a_segment_without_negatives():
