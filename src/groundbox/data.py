@@ -1,15 +1,22 @@
 """Dataset model, deterministic synthetic generation with planted ground
 truth, frame / negative sampling, and on-disk formats.
 
-On-disk layout (one directory):
+On-disk layout (one directory, format 2). Proposals are stored as rows:
+segment after segment in file order, a segment's F x N proposals frame by
+frame, so row r of boxes.bin and row r of features.bin are one proposal.
   vocabulary.txt  - one label per line
-  segments.jsonl  - one JSON object per segment
-  features.bin    - little-endian float32, row-major
-  features.json   - {"rows": int, "dim": int}
+  segments.jsonl  - one JSON object per segment: segment_id, split,
+                    query_labels, frames (its frame count F), row (its first
+                    row) and gt ([{query, frame, box}], or null on train)
+  boxes.bin       - little-endian float64, rows x 4 (x1, y1, x2, y2)
+  features.bin    - little-endian float32, rows x dim
+  features.json   - {"format": 2, "rows": int, "dim": int, "N": int}; N is
+                    the proposal count of every frame
 """
 
 import json
 import logging
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,6 +27,7 @@ from .tensor import ConfigError
 log = logging.getLogger(__name__)
 
 REFERRING_EXPRESSIONS = ("it", "them", "that", "they")
+FORMAT = 2  # of the dataset directory; features.json names it
 
 
 class DataError(ValueError):
@@ -41,8 +49,7 @@ def proposal_dtype(D_in):
 
 # one ground-truth record: query (index into query_labels) is visible at
 # frame (raw frame id within the segment) inside box
-GT_DTYPE = np.dtype([("query", "<i8"), ("frame", "<i8"), ("box", "<f8", (4,)),
-                     ("visible", "?")])
+GT_DTYPE = np.dtype([("query", "<i8"), ("frame", "<i8"), ("box", "<f8", (4,))])
 
 
 @dataclass
@@ -78,10 +85,13 @@ class Vocabulary:
 # synthetic generation
 
 def _random_box(rng, canvas):
-    w = rng.uniform(0.08, 0.35) * canvas
-    h = rng.uniform(0.08, 0.35) * canvas
-    x1 = rng.uniform(0, canvas - w)
-    y1 = rng.uniform(0, canvas - h)
+    # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(): one call draws all
+    # four, in the order four uniform calls would (Python's round, not np.round)
+    uw, uh, ux, uy = rng.random(4).tolist()
+    w = (0.08 + (0.35 - 0.08) * uw) * canvas
+    h = (0.08 + (0.35 - 0.08) * uh) * canvas
+    x1 = (canvas - w) * ux
+    y1 = (canvas - h) * uy
     return (round(x1, 2), round(y1, 2), round(x1 + w, 2), round(y1 + h, 2))
 
 
@@ -144,8 +154,12 @@ def generate_synthetic(config, seed=None):
             spans.append(range(start, start + span))
             true_boxes.append(_random_box(rng, config.canvas))
 
-        frames = np.recarray((F, N), dtype=proposal_dtype(D_in))
-        features, boxes = frames.feature, frames.box
+        # draws[f, i] is proposal i's (base, noise) pair: a distractor's base
+        # is fresh noise at prototype scale, so it never echoes a planted
+        # prototype and cross-segment negatives stay clean; an owner's base
+        # is its prototype. A distractor's two draws come before its box.
+        draws = np.empty((F, N, 2, D_in))
+        boxes = []
         gt = []
         for f in range(F):
             present = [k for k in range(O) if f in spans[k]]
@@ -154,16 +168,18 @@ def generate_synthetic(config, seed=None):
             avoid = [true_boxes[k] for k in present]
             for i in range(N):
                 owner = owner_of.get(i)
-                # a distractor gets fresh noise at prototype scale, so it never
-                # echoes a planted prototype and cross-segment negatives stay
-                # clean; its feature is drawn before its box
-                base = rng.standard_normal(D_in) if owner is None \
-                    else protos[proto_of[query_labels[owner]]]
-                features[f, i] = base + config.sigma * rng.standard_normal(D_in)
-                boxes[f, i] = _distractor_box(rng, config.canvas, avoid) \
-                    if owner is None else true_boxes[owner]
-            gt.extend((k, f, true_boxes[k], True) for k in present)
+                if owner is None:
+                    rng.standard_normal(out=draws[f, i])
+                    boxes.append(_distractor_box(rng, config.canvas, avoid))
+                else:
+                    draws[f, i, 0] = protos[proto_of[query_labels[owner]]]
+                    rng.standard_normal(out=draws[f, i, 1])
+                    boxes.append(true_boxes[owner])
+            gt.extend((k, f, true_boxes[k]) for k in present)
 
+        frames = np.recarray((F, N), dtype=proposal_dtype(D_in))
+        frames.feature = draws[:, :, 0] + config.sigma * draws[:, :, 1]
+        frames.box = np.array(boxes).reshape(F, N, 4)
         return SegmentSample(segment_id=sid, split=split, query_labels=query_labels,
                              frames=frames, gt=None if split == "train" else
                              np.array(gt, dtype=GT_DTYPE).view(np.recarray))
@@ -220,15 +236,14 @@ def disjoint_rows(pool, members, positive):
     return rows
 
 
-def sample_negative_sentence(pool, positive, rng, members=None):
+def sample_negative_sentence(pool, positive, rng, rows=None):
     """Uniformly pick a pool segment whose label set is disjoint from the positive's.
 
-    members: label_members(pool), for callers that sample from one pool many
-    times; built here when omitted.
+    rows: disjoint_rows(pool, label_members(pool), positive), for callers that
+    sample for one positive many times; computed here when omitted.
     """
-    if members is None:
-        members = label_members(pool)
-    rows = disjoint_rows(pool, members, positive)
+    if rows is None:
+        rows = disjoint_rows(pool, label_members(pool), positive)
     if len(rows) == 0:
         raise SamplingError(
             f"no sentence with labels disjoint from {sorted(set(positive.query_labels))}")
@@ -239,133 +254,172 @@ def sample_negative_sentence(pool, positive, rng, members=None):
 # persistence
 
 def save_segments(out_dir, vocab, splits):
+    """Write vocab and splits as a format-2 dataset directory.
+
+    Each file is written to a .<name>.<pid>.tmp file beside it, feature and
+    box rows streamed segment by segment. Only when all are written do they
+    replace their targets, the manifest features.json last and with any old
+    manifest removed first, so a save that fails leaves no temp file and no
+    manifest over data it does not describe. Every segment must hold the
+    first one's proposals per frame and feature width (DataError).
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "vocabulary.txt").write_text(
-        "".join(lab + "\n" for lab in vocab.labels), encoding="utf-8")
-
-    blocks, lines, n_rows = [], [], 0
-    for split in sorted(splits):
-        for seg in splits[split]:
-            F, N = seg.frames.shape
-            frames_json = [{"proposals": [{"box": box, "feat_row": n_rows + f * N + i}
-                                          for i, box in enumerate(frame)]}
-                           for f, frame in enumerate(seg.frames.box.tolist())]
-            n_rows += F * N
-            blocks.append(seg.frames.feature.reshape(F * N, -1))
-            gt = seg.gt
-            rec = {"segment_id": seg.segment_id, "split": split,
-                   "query_labels": seg.query_labels, "frames": frames_json,
-                   "gt": None if gt is None else
-                   [{"query": q, "frame": f, "box": box, "visible": v}
-                    for q, f, box, v in zip(gt.query.tolist(), gt.frame.tolist(),
-                                            gt.box.tolist(), gt.visible.tolist())]}
-            lines.append(json.dumps(rec, separators=(",", ":")))
-    (out_dir / "segments.jsonl").write_text("".join(l + "\n" for l in lines),
-                                            encoding="utf-8")
-
-    feat = np.concatenate(blocks) if n_rows else np.zeros((0, 0), dtype="<f4")
-    (out_dir / "features.bin").write_bytes(feat.tobytes())
-    (out_dir / "features.json").write_text(
-        json.dumps({"rows": int(feat.shape[0]),
-                    "dim": int(feat.shape[1]) if feat.size else 0}),
-        encoding="utf-8")
+    names = ("vocabulary.txt", "segments.jsonl", "boxes.bin", "features.bin",
+             "features.json")
+    tmp = {name: out_dir / f".{name}.{os.getpid()}.tmp" for name in names}
+    try:
+        tmp["vocabulary.txt"].write_text("".join(lab + "\n" for lab in vocab.labels),
+                                         encoding="utf-8")
+        shape = None  # (N, dim) of the first segment
+        row = 0
+        with open(tmp["segments.jsonl"], "w", encoding="utf-8") as lines, \
+                open(tmp["boxes.bin"], "wb") as boxes, \
+                open(tmp["features.bin"], "wb") as feats:
+            for split in sorted(splits):
+                for seg in splits[split]:
+                    (F, N), dim = seg.frames.shape, seg.frames.feature.shape[-1]
+                    shape = shape or (N, dim)
+                    if (N, dim) != shape:
+                        raise DataError(
+                            f"segment {seg.segment_id!r}: {N} proposals of dim {dim} "
+                            f"per frame, but the first segment has {shape[0]} of dim "
+                            f"{shape[1]}")
+                    boxes.write(np.ascontiguousarray(seg.frames.box, dtype="<f8"))
+                    feats.write(np.ascontiguousarray(seg.frames.feature, dtype="<f4"))
+                    gt = seg.gt
+                    rec = {"segment_id": seg.segment_id, "split": split,
+                           "query_labels": seg.query_labels, "frames": F, "row": row,
+                           "gt": None if gt is None else
+                           [{"query": q, "frame": f, "box": box} for q, f, box in
+                            zip(gt.query.tolist(), gt.frame.tolist(), gt.box.tolist())]}
+                    lines.write(json.dumps(rec, separators=(",", ":")) + "\n")
+                    row += F * N
+        N, dim = shape or (0, 0)
+        tmp["features.json"].write_text(
+            json.dumps({"format": FORMAT, "rows": row, "dim": dim, "N": N}),
+            encoding="utf-8")
+        (out_dir / "features.json").unlink(missing_ok=True)
+        for name in names:
+            os.replace(tmp[name], out_dir / name)
+    except BaseException:
+        for path in tmp.values():
+            path.unlink(missing_ok=True)
+        raise
 
 
 def load_segments(data_dir):
     """Inverse of save_segments; returns (vocab, {split: [SegmentSample]}).
 
-    Every record is validated as it is read; a fault raises DataError naming
-    segments.jsonl:<line> and the field.
+    Every field is validated as it is read. A fault raises DataError naming
+    the file and the field: features.json and its field, boxes.bin and the
+    row of a bad proposal box, segments.jsonl:<line> and the field of a bad
+    record. A blob whose size the manifest does not predict raises
+    IntegrityError naming it. Segments' rows must tile [0, rows) in file
+    order, and each segment's feature block is read on its own.
     """
     data_dir = Path(data_dir)
     vocab = Vocabulary((data_dir / "vocabulary.txt")
                        .read_text(encoding="utf-8").splitlines())
-
-    path = data_dir / "features.json"
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-        rows, dim = (checked_counts(key, [manifest[key]])[0] for key in ("rows", "dim"))
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
-    except KeyError as exc:
-        raise DataError(f"{path}: missing field {exc}") from None
-    except (ValueError, TypeError) as exc:  # bad JSON, or JSON but no object
-        raise DataError(f"{path}: not a JSON object: {exc}") from exc
-    raw = (data_dir / "features.bin").read_bytes()
-    if len(raw) != rows * dim * 4:
-        raise IntegrityError(f"{data_dir / 'features.bin'} holds {len(raw)} bytes, "
-                             f"{path.name} expects {rows * dim * 4}")
-    feats = np.frombuffer(raw, dtype="<f4").reshape(rows, dim)
+    manifest = data_dir / "features.json"
+    rows, dim, N = _read_manifest(manifest)
+    box_path, feat_path = data_dir / "boxes.bin", data_dir / "features.bin"
+    for blob, width in ((box_path, 4 * 8), (feat_path, dim * 4)):
+        size = blob.stat().st_size
+        if size != rows * width:
+            raise IntegrityError(f"{blob} holds {size} bytes, {manifest.name} "
+                                 f"expects {rows * width}")
+    boxes = np.fromfile(box_path, dtype="<f8").reshape(rows, 4)
+    bad = _bad_boxes(boxes)
+    if bad.any():
+        r = int(np.flatnonzero(bad)[0])
+        raise DataError(f"{box_path}: row {r}: box {boxes[r].tolist()} {_BOX_RULE}")
 
     splits = {}
-    first = None  # (proposals per frame, line) of the first record
+    at = 0  # the first row no segment has claimed yet
     path = data_dir / "segments.jsonl"
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, open(feat_path, "rb") as feats:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                seg = _segment_from_json(json.loads(line), feats, vocab.size)
+                rec = json.loads(line)
+                sid, split = rec["segment_id"], rec["split"]
+                labels, F, gt = _fields_of(rec, at, N, rows, vocab.size)
             except DataError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed record: {exc}") from exc
-            N = seg.frames.shape[1]
-            first = first or (N, lineno)
-            if N != first[0]:
-                raise DataError(f"{path}:{lineno}: frames.proposals: {N} per frame, "
-                                f"but line {first[1]} has {first[0]}")
-            splits.setdefault(seg.split, []).append(seg)
+            frames = np.recarray((F, N), dtype=proposal_dtype(dim))
+            frames.box = boxes[at:at + F * N].reshape(F, N, 4)
+            frames.feature = np.frombuffer(feats.read(F * N * dim * 4),
+                                           dtype="<f4").reshape(F, N, dim)
+            at += F * N
+            splits.setdefault(split, []).append(
+                SegmentSample(sid, split, labels, frames, gt))
+    if at != rows:
+        raise DataError(f"{path}: its segments' rows end at {at}, but "
+                        f"{manifest.name} has rows {rows}")
     return vocab, splits
 
 
-def _segment_from_json(rec, feats, n_labels):
-    """One segments.jsonl record as a SegmentSample, proposal features gathered
-    from feats; DataError names the faulty field."""
-    counts = sorted({len(fr["proposals"]) for fr in rec["frames"]})
-    if len(counts) > 1:
-        raise DataError(f"frames.proposals: frames hold {counts} proposals; "
-                        f"every frame needs the same count")
-    F, N = len(rec["frames"]), counts[0] if counts else 0
-    props = [p for fr in rec["frames"] for p in fr["proposals"]]
-    boxes = _checked_list("frames.proposals.box", [c for p in props for c in p["box"]],
-                          "number")
-    boxes = np.array(boxes, dtype=np.float64).reshape(F, N, 4)
-    rows = _checked_list("frames.proposals.feat_row", [p["feat_row"] for p in props],
-                         "integer")
-    rows = np.array(rows, dtype=np.int64).reshape(F, N)
+def _read_manifest(path):
+    """(rows, dim, N) of a format-2 features.json; DataError naming path and
+    the field."""
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise DataError(f"{path}: not a JSON object: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path}: not a JSON object: {type(manifest).__name__}")
+    version = manifest.get("format")
+    if type(version) is not int or version != FORMAT:
+        raise DataError(f"{path}: format: {version!r}, but this version reads only "
+                        f"format {FORMAT} datasets; re-run gen-data to rewrite it")
+    try:
+        return [checked_counts(key, [manifest[key]])[0] for key in ("rows", "dim", "N")]
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    except KeyError as exc:
+        raise DataError(f"{path}: missing field {exc}") from None
+
+
+def _fields_of(rec, at, N, rows, n_labels):
+    """(query_labels, F, gt) of one segments.jsonl record whose rows should
+    start at row at; DataError names the faulty field."""
     labels = _checked_list("query_labels", rec["query_labels"], "integer")
     _check_range("query_labels", np.array(labels, dtype=np.int64), n_labels,
                  "vocabulary.txt labels")
-    _check_range("frames.proposals.feat_row", rows, len(feats), "features.bin rows")
-    _check_boxes("frames.proposals.box", boxes)
+    F, row = (checked_counts(key, [rec[key]])[0] for key in ("frames", "row"))
+    if row != at:
+        raise DataError(f"row: {row}, but the rows before it end at {at}: segments "
+                        f"must tile [0, {rows}) in order, N={N} rows per frame")
+    if at + F * N > rows:
+        raise DataError(f"frames: {F} frames of N={N} proposals run to row "
+                        f"{at + F * N}, past the {rows} rows of features.json")
 
     gt = rec["gt"]
     if gt is not None:
-        for key, kind in (("query", "integer"), ("frame", "integer"),
-                          ("visible", "boolean")):
-            _checked_list(f"gt.{key}", [g[key] for g in gt], kind)
+        for key in ("query", "frame"):
+            _checked_list(f"gt.{key}", [g[key] for g in gt], "integer")
         _checked_list("gt.box", [c for g in gt for c in g["box"]], "number")
-        gt = np.array([(g["query"], g["frame"], g["box"], g["visible"]) for g in gt],
+        gt = np.array([(g["query"], g["frame"], g["box"]) for g in gt],
                       dtype=GT_DTYPE).view(np.recarray)
         _check_range("gt.query", gt.query, len(labels), "query labels")
         _check_range("gt.frame", gt.frame, F, "frames")
-        _check_boxes("gt.box", gt.box)
-
-    frames = np.recarray((F, N), dtype=proposal_dtype(feats.shape[1]))
-    frames.box = boxes
-    frames.feature = feats[rows]
-    return SegmentSample(rec["segment_id"], rec["split"], list(labels), frames, gt)
+        bad = _bad_boxes(gt.box)
+        if bad.any():
+            raise DataError(f"gt.box: {gt.box[bad][0].tolist()} {_BOX_RULE}")
+    return list(labels), F, gt
 
 
-_JSON_TYPES = {"integer": (int,), "boolean": (bool,), "number": (int, float)}
+_JSON_TYPES = {"integer": (int,), "number": (int, float)}
 
 
 def _checked_list(field, values, kind):
-    """values, if each is a JSON value of that kind ("integer", "boolean" or
-    "number"); types match exactly, so a bool is neither an integer nor a
-    number and a float is no integer. Else DataError naming field."""
+    """values, if each is a JSON value of that kind ("integer" or "number");
+    types match exactly, so a bool is neither an integer nor a number and a
+    float is no integer. Else DataError naming field."""
     bad = [v for v in values if type(v) not in _JSON_TYPES[kind]]
     if bad:
         raise DataError(f"{field}: {bad[0]!r} is not a JSON {kind}")
@@ -386,9 +440,10 @@ def _check_range(field, values, n, of_what):
         raise DataError(f"{field}: {bad.tolist()} outside the {n} {of_what}")
 
 
-def _check_boxes(field, boxes):
-    bad = ~(np.isfinite(boxes) & (boxes >= 0)).all(axis=-1) \
+_BOX_RULE = "must be finite and nonnegative with x1 < x2 and y1 < y2"
+
+
+def _bad_boxes(boxes):
+    """Mask over the leading axes of (..., 4) boxes: which break _BOX_RULE."""
+    return ~(np.isfinite(boxes) & (boxes >= 0)).all(axis=-1) \
         | (boxes[..., 2:] <= boxes[..., :2]).any(axis=-1)
-    if bad.any():
-        raise DataError(f"{field}: {boxes[bad][0].tolist()} must be finite and "
-                        f"nonnegative with x1 < x2 and y1 < y2")

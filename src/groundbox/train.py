@@ -100,8 +100,10 @@ def train(config, splits, out_dir=None, log_every=0):
     train_set = splits["train"]
     val_set = splits.get("val", [])
     members = label_members(train_set)
-    for seg in train_set:
-        if len(disjoint_rows(train_set, members, seg)) == 0:
+    # each train segment's negative pool, in pool order, for every draw
+    negative_rows = [disjoint_rows(train_set, members, seg) for seg in train_set]
+    for seg, rows in zip(train_set, negative_rows):
+        if len(rows) == 0:
             raise SamplingError(
                 f"train segment {seg.segment_id!r} has no negative: every other "
                 f"segment shares a label with {sorted(set(seg.query_labels))}")
@@ -115,14 +117,14 @@ def train(config, splits, out_dir=None, log_every=0):
         for start in range(0, len(order), config.batch):
             batch, noise = [], []
             for i in order[start:start + config.batch]:
-                seg = train_set[i]
+                seg, rows = train_set[i], negative_rows[i]
                 # both negative kinds come from label-disjoint pool segments:
                 # a visual negative that contains the query object would
                 # penalize the very match being learned
-                neg_viss = [sample_negative_sentence(train_set, seg, rng, members)
+                neg_viss = [sample_negative_sentence(train_set, seg, rng, rows)
                             for _ in range(config.negatives)]
                 neg_sents = [sample_negative_sentence(train_set, seg, rng,
-                                                      members).query_labels
+                                                      rows).query_labels
                              for _ in range(config.negatives)]
                 frames = sample_frames(seg.n_frames, config.T, "train", rng)
                 batch.append((seg, neg_viss, neg_sents, frames))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -12,14 +13,16 @@ from hypothesis import strategies as st
 from groundbox.config import GroundingConfig
 from groundbox.data import (DataError, IntegrityError, SamplingError,
                             SegmentSample, Vocabulary, _iou4, _random_box,
-                            generate_synthetic, label_members, load_segments,
-                            sample_frames, sample_negative_sentence,
-                            save_segments)
+                            disjoint_rows, generate_synthetic, label_members,
+                            load_segments, sample_frames,
+                            sample_negative_sentence, save_segments)
 from groundbox.evaluate import iou
 
 SMALL = GroundingConfig(V=12, D_in=8, N=5, frames_per_segment=6,
                         train_segments=4, val_segments=3, test_segments=3,
                         sigma=0.1, seed=0)
+DATASET_FILES = ("vocabulary.txt", "segments.jsonl", "boxes.bin", "features.bin",
+                 "features.json")
 
 
 def test_vocabulary_rejects_duplicates():
@@ -94,6 +97,42 @@ def test_generate_deterministic_per_seed():
     assert not np.array_equal(a.feature, s3["train"][0].frames[0][0].feature)
 
 
+def _splits_digest(splits):
+    """blake2b of everything generation puts in the splits, in split order."""
+    h = hashlib.blake2b(digest_size=16)
+    for split in sorted(splits):
+        for seg in splits[split]:
+            h.update(seg.segment_id.encode())
+            h.update(np.asarray(seg.query_labels, dtype="<i8").tobytes())
+            h.update(np.ascontiguousarray(seg.frames.feature).tobytes())
+            h.update(np.ascontiguousarray(seg.frames.box).tobytes())
+            if seg.gt is not None:
+                for column, dtype in (("query", "<i8"), ("frame", "<i8"), ("box", "<f8")):
+                    h.update(np.ascontiguousarray(seg.gt[column], dtype=dtype).tobytes())
+    return h.hexdigest()
+
+
+# The criterion-3 shape and a paper-width one. The digests pin the rng
+# stream: a change that draws the same numbers in another order, or rounds a
+# box another way, changes every trained model downstream.
+CRITERION_3 = GroundingConfig(d=32, D_in=16, V=20, N=10, T=5, T_prime=5,
+                              sigma=0.1, train_segments=500, val_segments=100,
+                              test_segments=100, epochs=15, lr=2.0, seed=0)
+PAPER_WIDTH = GroundingConfig(D_in=2048, train_segments=3, val_segments=2,
+                              test_segments=2, seed=0)
+
+
+@pytest.mark.parametrize("config, seed, digest", [
+    (CRITERION_3, 0, "c8032f041357a31b4965561553a0fdb7"),
+    (CRITERION_3, 7, "63f574b3c2b5f16d6d8fc067958544ad"),
+    (PAPER_WIDTH, 0, "684199b741a93e918691da92fd84bf16"),
+    (PAPER_WIDTH, 7, "7b874ff31140c323ee82d59557628b47"),
+], ids=["criterion3-seed0", "criterion3-seed7", "paper-width-seed0",
+        "paper-width-seed7"])
+def test_generation_stream_is_pinned(config, seed, digest):
+    assert _splits_digest(generate_synthetic(config, seed)[1]) == digest
+
+
 def test_sample_frames_eval_centers():
     assert sample_frames(10, 5, "eval") == [1, 3, 5, 7, 9]
     assert sample_frames(5, 5, "eval") == [0, 1, 2, 3, 4]
@@ -161,16 +200,16 @@ def test_indexed_negative_sampling_matches_pool_scan(label_sets, outside_labels,
     # pos_at indexes the pool, or names a positive from outside it
     positive = (pool[pos_at] if 0 <= pos_at < len(pool)
                 else SegmentSample("out", "train", outside_labels, [[]], None))
-    members = label_members(pool)
+    rows = disjoint_rows(pool, label_members(pool), positive)
     for draw in range(3):
         rng_scan, rng_index = (np.random.default_rng(seed + draw) for _ in range(2))
         try:
             want = _scan_negative(pool, positive, rng_scan)
         except SamplingError:
             with pytest.raises(SamplingError):
-                sample_negative_sentence(pool, positive, rng_index, members)
+                sample_negative_sentence(pool, positive, rng_index, rows)
             continue
-        assert sample_negative_sentence(pool, positive, rng_index, members) is want
+        assert sample_negative_sentence(pool, positive, rng_index, rows) is want
         assert rng_index.bit_generator.state == rng_scan.bit_generator.state
         assert sample_negative_sentence(pool, positive,
                                         np.random.default_rng(seed + draw)) is want
@@ -181,6 +220,7 @@ def test_save_load_round_trip(tmp_path):
     save_segments(tmp_path, vocab, splits)
     assert (tmp_path / "vocabulary.txt").exists()
     assert (tmp_path / "segments.jsonl").exists()
+    assert (tmp_path / "boxes.bin").exists()
     assert (tmp_path / "features.bin").exists()
     assert (tmp_path / "features.json").exists()
 
@@ -207,8 +247,7 @@ def test_save_is_byte_deterministic(tmp_path):
     save_segments(d1, vocab, splits)
     vocab2, splits2 = generate_synthetic(SMALL, seed=5)
     save_segments(d2, vocab2, splits2)
-    for name in ("vocabulary.txt", "segments.jsonl", "features.bin",
-                 "features.json"):
+    for name in DATASET_FILES:
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
@@ -216,12 +255,17 @@ def test_features_bin_is_le_float32(tmp_path):
     vocab, splits = generate_synthetic(SMALL)
     save_segments(tmp_path, vocab, splits)
     manifest = json.loads((tmp_path / "features.json").read_text())
+    assert manifest == {"format": 2, "rows": 10 * 6 * 5, "dim": 8, "N": 5}
     raw = (tmp_path / "features.bin").read_bytes()
     assert len(raw) == manifest["rows"] * manifest["dim"] * 4
     # rows are written in sorted-split order, so "test" comes first
     first = splits["test"][0].frames[0][0].feature
     got = np.frombuffer(raw[: 4 * manifest["dim"]], dtype="<f4")
     assert np.array_equal(got, first)
+    # boxes.bin is row-aligned: little-endian float64, 4 per row
+    boxes = np.fromfile(tmp_path / "boxes.bin", dtype="<f8")
+    assert boxes.shape == (manifest["rows"] * 4,)
+    assert np.array_equal(boxes[4 * 7:4 * 8], splits["test"][0].frames[1][2].box)
 
 
 def test_load_detects_truncated_features(tmp_path):
@@ -230,6 +274,16 @@ def test_load_detects_truncated_features(tmp_path):
     blob = (tmp_path / "features.bin").read_bytes()
     (tmp_path / "features.bin").write_bytes(blob[:-4])
     with pytest.raises(IntegrityError, match=re.escape(str(tmp_path / "features.bin"))):
+        load_segments(tmp_path)
+
+
+def test_load_detects_short_boxes_bin(tmp_path):
+    vocab, splits = generate_synthetic(SMALL)
+    save_segments(tmp_path, vocab, splits)
+    blob = (tmp_path / "boxes.bin").read_bytes()
+    (tmp_path / "boxes.bin").write_bytes(blob[:-8])
+    want = f"{tmp_path / 'boxes.bin'} holds {len(blob) - 8} bytes, features.json expects"
+    with pytest.raises(IntegrityError, match=re.escape(want)):
         load_segments(tmp_path)
 
 
@@ -244,8 +298,25 @@ def test_load_detects_truncated_features(tmp_path):
 def test_load_names_features_json_and_the_field(tmp_path, text, want):
     vocab, splits = generate_synthetic(SMALL)
     save_segments(tmp_path, vocab, splits)
-    (tmp_path / "features.json").write_text(text)
+    # each object case is a format-2 manifest with one fault
+    (tmp_path / "features.json").write_text(text.replace("{", '{"format": 2, ', 1))
     with pytest.raises(DataError, match=re.escape(f"{tmp_path / 'features.json'}: {want}")):
+        load_segments(tmp_path)
+
+
+@pytest.mark.parametrize("manifest", [
+    {"rows": 300, "dim": 8},                     # a format-1 manifest
+    {"format": 1, "rows": 300, "dim": 8, "N": 5},
+    {"format": 2.0, "rows": 300, "dim": 8, "N": 5},
+    {"format": "2", "rows": 300, "dim": 8, "N": 5},
+], ids=["no-format", "format-1", "float-format", "string-format"])
+def test_load_refuses_a_dataset_of_another_format(tmp_path, manifest):
+    vocab, splits = generate_synthetic(SMALL)
+    save_segments(tmp_path, vocab, splits)
+    (tmp_path / "features.json").write_text(json.dumps(manifest))
+    want = (f"{tmp_path / 'features.json'}: format: {manifest.get('format')!r}, but "
+            "this version reads only format 2 datasets; re-run gen-data")
+    with pytest.raises(DataError, match=re.escape(want)):
         load_segments(tmp_path)
 
 
@@ -326,26 +397,34 @@ def test_load_rejects_gt_frame_out_of_range(tmp_path):
     assert "segments.jsonl:1: gt.frame: [99] outside the 6 frames" in err
 
 
-def test_load_rejects_feat_row_out_of_range(tmp_path):
+# SMALL's segments hold 6 frames of 5 proposals: 30 rows each, 300 in all
+@pytest.mark.parametrize("lineno, key, value, want", [
+    (5, "row", 121, "segments.jsonl:5: row: 121, but the rows before it end at 120"),
+    (5, "row", -1, "segments.jsonl:5: row: -1 is negative"),
+    (5, "frames", 5, "segments.jsonl:6: row: 150, but the rows before it end at 145"),
+    (10, "frames", 7, "segments.jsonl:10: frames: 7 frames of N=5 proposals run to "
+     "row 305, past the 300 rows of features.json"),
+    (10, "frames", 5, "segments.jsonl: its segments' rows end at 295, but "
+     "features.json has rows 300"),
+], ids=["row-gap", "row-negative", "frames-short", "frames-past-end",
+        "rows-left-over"])
+def test_load_rejects_rows_that_do_not_tile(tmp_path, lineno, key, value, want):
     def edit(rec):
-        rec["frames"][1]["proposals"][2]["feat_row"] = -1
-    err = _load_error(_saved_with_edit(tmp_path, 5, edit))
-    assert "segments.jsonl:5: frames.proposals.feat_row: [-1]" in err
+        rec[key] = value
+    assert want in _load_error(_saved_with_edit(tmp_path, lineno, edit))
 
 
-# a float or bool where a JSON integer belongs, a string where a bool belongs,
-# a bool or string where a box coordinate (a JSON number) belongs; each would
-# otherwise load silently cast (6.5 as label 6, "yes" as True, true as 1.0)
+# a float or bool where a JSON integer belongs, a bool or string where a
+# box coordinate (a JSON number) belongs; each would otherwise load silently
+# cast (6.5 as label 6, true as 1.0)
 @pytest.mark.parametrize("field, path, value", [
     ("query_labels", ("query_labels", 0), 6.5),
-    ("frames.proposals.feat_row", ("frames", 1, "proposals", 2, "feat_row"), 1.5),
+    ("row", ("row",), 1.5),
+    ("frames", ("frames",), 6.0),
     ("gt.query", ("gt", 0, "query"), 0.7),
     ("gt.frame", ("gt", 0, "frame"), True),
-    ("gt.visible", ("gt", 0, "visible"), "yes"),
-    ("frames.proposals.box", ("frames", 1, "proposals", 2, "box", 1), True),
     ("gt.box", ("gt", 0, "box", 0), "253.45"),
-], ids=["query_labels", "feat_row", "gt.query", "gt.frame", "gt.visible",
-        "proposals.box", "gt.box"])
+], ids=["query_labels", "row", "frames", "gt.query", "gt.frame", "gt.box"])
 def test_load_rejects_values_of_the_wrong_json_type(tmp_path, field, path, value):
     def edit(rec):
         for key in path[:-1]:
@@ -361,10 +440,13 @@ BAD_BOXES = [[1, 0, 1, 1], [2, 0, 1, 1], [-1, 0, 1, 1], [math.nan, 0, 1, 1],
              [0, 1, 1, 1], [5, 5, 1, 1]]
 
 
-def _set_proposal_box(box):
-    def edit(rec):
-        rec["frames"][2]["proposals"][0]["box"] = box
-    return edit
+def _saved_with_box(data_dir, row, box):
+    vocab, splits = generate_synthetic(SMALL)
+    save_segments(data_dir, vocab, splits)
+    boxes = np.fromfile(data_dir / "boxes.bin", dtype="<f8").reshape(-1, 4)
+    boxes[row] = box
+    boxes.tofile(data_dir / "boxes.bin")
+    return data_dir
 
 
 def _set_gt_box(box):
@@ -374,22 +456,52 @@ def _set_gt_box(box):
 
 
 def test_bounding_box_validation(tmp_path):
-    good = _saved_with_edit(tmp_path / "good", 3, _set_proposal_box([0, 0, 1, 1]))
-    load_segments(good)
+    # row 70 is segment 3's frame 2, proposal 0
+    load_segments(_saved_with_box(tmp_path / "good", 70, [0, 0, 1, 1]))
     for i, box in enumerate(BAD_BOXES):
-        err = _load_error(_saved_with_edit(tmp_path / f"p{i}", 3,
-                                           _set_proposal_box(box)))
-        assert "segments.jsonl:3: frames.proposals.box: " in err, box
+        data = _saved_with_box(tmp_path / f"p{i}", 70, box)
+        err = _load_error(data)
+        assert f"{data / 'boxes.bin'}: row 70: box " in err, box
         err = _load_error(_saved_with_edit(tmp_path / f"g{i}", 9, _set_gt_box(box)))
         assert "segments.jsonl:9: gt.box: " in err, box
 
 
-def test_load_rejects_proposal_count_differing_across_segments(tmp_path):
-    def edit(rec):
-        for frame in rec["frames"]:
-            del frame["proposals"][4:]
-    err = _load_error(_saved_with_edit(tmp_path, 2, edit))
-    assert "segments.jsonl:2: frames.proposals: 4 per frame, but line 1 has 5" in err
+@pytest.mark.parametrize("N, want", [
+    (4, "segments.jsonl:2: row: 30, but the rows before it end at 24"),
+    (6, "segments.jsonl:2: row: 30, but the rows before it end at 36"),
+], ids=["N-4", "N-6"])
+def test_load_rejects_an_n_that_does_not_tile_the_rows(tmp_path, N, want):
+    # proposals per frame are one N for the whole dataset, so a segment whose
+    # frames hold another count shows as rows that do not tile with N
+    vocab, splits = generate_synthetic(SMALL)
+    save_segments(tmp_path, vocab, splits)
+    path = tmp_path / "features.json"
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), N=N)))
+    err = _load_error(tmp_path)
+    assert want in err and f"N={N} rows per frame" in err
+
+
+def _listing(data_dir):
+    return {p.name: p.read_bytes() for p in data_dir.iterdir()}
+
+
+def test_failed_save_leaves_no_manifest_and_no_temp_file(tmp_path):
+    vocab, splits = generate_synthetic(SMALL)
+    _, wide = generate_synthetic(SMALL.replace(D_in=9))
+    # the second test segment is 9 wide: the save raises after streaming rows
+    broken = dict(splits, test=splits["test"][:1] + wide["test"][1:2])
+    fresh = tmp_path / "fresh"
+    with pytest.raises(DataError, match="'test00001': 5 proposals of dim 9 per frame, "
+                                        "but the first segment has 5 of dim 8"):
+        save_segments(fresh, vocab, broken)
+    assert _listing(fresh) == {}
+    # over an earlier dataset, a failed save leaves every file of it as it was
+    kept = tmp_path / "kept"
+    save_segments(kept, vocab, splits)
+    before = _listing(kept)
+    with pytest.raises(DataError):
+        save_segments(kept, vocab, broken)
+    assert _listing(kept) == before
 
 
 def _same_records(a, b):
@@ -412,8 +524,7 @@ def test_dataset_round_trip(N, F, D_in, presence, sizes, V, seed):
         save_segments(first, vocab, splits)
         vocab2, loaded = load_segments(first)
         save_segments(second, vocab2, loaded)
-        for name in ("vocabulary.txt", "segments.jsonl", "features.bin",
-                     "features.json"):
+        for name in DATASET_FILES:
             assert (first / name).read_bytes() == (second / name).read_bytes()
     assert vocab2.labels == vocab.labels
     assert {k: len(v) for k, v in loaded.items()} == \

@@ -255,22 +255,18 @@ def test_draw_dropout_shapes_order_and_keep_fraction(mode):
 def test_model_rejects_ragged_frames(tmp_path):
     # frames of 4 and 5 proposals used to drop a proposal silently and
     # mis-assign rows; frames of 5 and 3 raised a bare IndexError. A segment's
-    # proposals are now one (F, N) array, so load_segments refuses ragged
-    # frames before any reach the model.
+    # proposals are now one (F, N) array and the dataset has one N, so a
+    # segment whose frames hold another count shows as rows that do not tile,
+    # and load_segments refuses it before any frame reaches the model.
     vocab, splits = generate_synthetic(TINY)
-    for first, second in ((4, 5), (5, 3)):
-        data = tmp_path / f"ragged{first}{second}"
+    F = TINY.frames_per_segment
+    for N in (TINY.N - 1, TINY.N + 1):
+        data = tmp_path / f"ragged{N}"
         save_segments(data, vocab, splits)
-        path = data / "segments.jsonl"
-        lines = path.read_text().splitlines()
-        rec = json.loads(lines[0])
-        pool = rec["frames"][0]["proposals"] + rec["frames"][1]["proposals"]
-        rec["frames"][0]["proposals"] = pool[:first]
-        rec["frames"][1]["proposals"] = pool[:second]
-        lines[0] = json.dumps(rec)
-        path.write_text("".join(l + "\n" for l in lines))
-        counts = sorted({first, second, TINY.N})
-        want = f"segments.jsonl:1: frames.proposals: frames hold {counts} proposals"
+        path = data / "features.json"
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), N=N)))
+        want = (f"segments.jsonl:2: row: {F * TINY.N}, but the rows before it end "
+                f"at {F * N}")
         with pytest.raises(DataError, match=re.escape(want)):
             load_segments(data)
 
@@ -431,7 +427,7 @@ def test_iou_exactly_half_is_a_miss():
     # (0,0,10,5) vs gt: inter 50, union 100 -> 0.5
     pred = np.array([0, 0, 10, 5])
     assert abs(iou(pred, gt) - 0.5) < 1e-12
-    seg_gt = np.rec.fromrecords([(0, 0, gt, True)], dtype=GT_DTYPE)
+    seg_gt = np.rec.fromrecords([(0, 0, gt)], dtype=GT_DTYPE)
     seg = type("S", (), {"segment_id": "s", "query_labels": [0], "gt": seg_gt,
                          "frames": [[]]})()
     rep = box_accuracy([seg], {("s", 0, 0): pred}, {0: "a"})
