@@ -58,7 +58,7 @@ class _AttentionLayer:
                                     heads=self.n_heads, key_mask=mask) @ self.Wo
         x = T.layer_norm_rows(T.add(x, T.dropout(attn, keep[0], self.p_drop)),
                               self.ln1_g, self.ln1_b)
-        ff = T.add_rowvec(T.relu(T.add_rowvec(x @ self.W1, self.b1)) @ self.W2, self.b2)
+        ff = T.mlp(x, self.W1, self.b1, self.W2, self.b2)
         return T.layer_norm_rows(T.add(x, T.dropout(ff, keep[1], self.p_drop)),
                                  self.ln2_g, self.ln2_b)
 

@@ -5,11 +5,12 @@ On-disk layout (one directory, format 2). Proposals are stored as rows:
 segment after segment in file order, a segment's F x N proposals frame by
 frame, so row r of boxes.bin and row r of features.bin are one proposal.
   vocabulary.txt  - one label per line
-  segments.jsonl  - one JSON object per segment: segment_id, split,
-                    query_labels, frames (its frame count F), row (its first
-                    row) and gt ([{query, frame, box}], or null on train)
+  segments.jsonl  - one JSON object per segment: segment_id (a string,
+                    unique), split (train, val or test), query_labels,
+                    frames (its frame count F), row (its first row) and gt
+                    ([{query, frame, box}] on val and test, null on train)
   boxes.bin       - little-endian float64, rows x 4 (x1, y1, x2, y2)
-  features.bin    - little-endian float32, rows x dim
+  features.bin    - little-endian float32, rows x dim, every value finite
   features.json   - {"format": 2, "rows": int, "dim": int, "N": int}; N is
                     the proposal count of every frame
 """
@@ -17,6 +18,7 @@ frame, so row r of boxes.bin and row r of features.bin are one proposal.
 import json
 import logging
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,6 +30,7 @@ log = logging.getLogger(__name__)
 
 REFERRING_EXPRESSIONS = ("it", "them", "that", "they")
 FORMAT = 2  # of the dataset directory; features.json names it
+SPLITS = ("train", "val", "test")
 
 
 class DataError(ValueError):
@@ -253,6 +256,29 @@ def sample_negative_sentence(pool, positive, rng, rows=None):
 # --------------------------------------------------------------------------
 # persistence
 
+def temp_beside(path):
+    """The .<name>.<pid>.tmp file a save writes before it replaces path."""
+    return path.with_name(f".{path.name}.{os.getpid()}.tmp")
+
+
+@contextmanager
+def replacing(path, mode="w"):
+    """Write path through a temp file beside it: yields the temp file open in
+    mode (text as UTF-8, newlines untranslated), moves it over path when the
+    block ends, and removes it instead if the block raises, leaving any
+    earlier path whole."""
+    path = Path(path)
+    tmp = temp_beside(path)
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    try:
+        with open(tmp, mode, **text) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_segments(out_dir, vocab, splits):
     """Write vocab and splits as a format-2 dataset directory.
 
@@ -267,7 +293,7 @@ def save_segments(out_dir, vocab, splits):
     out_dir.mkdir(parents=True, exist_ok=True)
     names = ("vocabulary.txt", "segments.jsonl", "boxes.bin", "features.bin",
              "features.json")
-    tmp = {name: out_dir / f".{name}.{os.getpid()}.tmp" for name in names}
+    tmp = {name: temp_beside(out_dir / name) for name in names}
     try:
         tmp["vocabulary.txt"].write_text("".join(lab + "\n" for lab in vocab.labels),
                                          encoding="utf-8")
@@ -314,9 +340,12 @@ def load_segments(data_dir):
     Every field is validated as it is read. A fault raises DataError naming
     the file and the field: features.json and its field, boxes.bin and the
     row of a bad proposal box, segments.jsonl:<line> and the field of a bad
-    record. A blob whose size the manifest does not predict raises
-    IntegrityError naming it. Segments' rows must tile [0, rows) in file
-    order, and each segment's feature block is read on its own.
+    record, features.bin and the first row of a segment whose feature block
+    holds a NaN or an infinity. A blob whose size the manifest does not
+    predict raises IntegrityError naming it. Segments' rows must tile
+    [0, rows) in file order, and each segment's feature block is read on its
+    own. Segment ids are unique strings, splits are train, val or test, and
+    gt is null exactly on train records.
     """
     data_dir = Path(data_dir)
     vocab = Vocabulary((data_dir / "vocabulary.txt")
@@ -337,6 +366,7 @@ def load_segments(data_dir):
 
     splits = {}
     at = 0  # the first row no segment has claimed yet
+    line_of = {}  # segment id -> the line that holds it
     path = data_dir / "segments.jsonl"
     with open(path, encoding="utf-8") as fh, open(feat_path, "rb") as feats:
         for lineno, line in enumerate(fh, start=1):
@@ -344,16 +374,23 @@ def load_segments(data_dir):
                 continue
             try:
                 rec = json.loads(line)
-                sid, split = rec["segment_id"], rec["split"]
-                labels, F, gt = _fields_of(rec, at, N, rows, vocab.size)
+                sid, split, labels, F, gt = _fields_of(rec, at, N, rows, vocab.size)
+                if sid in line_of:
+                    raise DataError(f"segment_id: {sid!r} is already the id of "
+                                    f"line {line_of[sid]}")
             except DataError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed record: {exc}") from exc
+            line_of[sid] = lineno
+            block = np.frombuffer(feats.read(F * N * dim * 4), dtype="<f4")
+            if not np.isfinite(block).all():
+                i = int(np.flatnonzero(~np.isfinite(block))[0])
+                raise DataError(f"{feat_path}: row {at + i // dim}: feature {i % dim} "
+                                f"is {block[i]}, not a finite number")
             frames = np.recarray((F, N), dtype=proposal_dtype(dim))
             frames.box = boxes[at:at + F * N].reshape(F, N, 4)
-            frames.feature = np.frombuffer(feats.read(F * N * dim * 4),
-                                           dtype="<f4").reshape(F, N, dim)
+            frames.feature = block.reshape(F, N, dim)
             at += F * N
             splits.setdefault(split, []).append(
                 SegmentSample(sid, split, labels, frames, gt))
@@ -385,8 +422,16 @@ def _read_manifest(path):
 
 
 def _fields_of(rec, at, N, rows, n_labels):
-    """(query_labels, F, gt) of one segments.jsonl record whose rows should
-    start at row at; DataError names the faulty field."""
+    """(segment_id, split, query_labels, F, gt) of one segments.jsonl record
+    whose rows should start at row at; DataError names the faulty field."""
+    sid, split, gt = rec["segment_id"], rec["split"], rec["gt"]
+    if type(sid) is not str:
+        raise DataError(f"segment_id: {sid!r} is not a JSON string")
+    if split not in SPLITS:
+        raise DataError(f"split: {split!r} is not one of {', '.join(SPLITS)}")
+    if (gt is None) != (split == "train"):
+        raise DataError(f"gt: {'null' if gt is None else 'a list'} on a {split} "
+                        "record, but gt is null exactly on train records")
     labels = _checked_list("query_labels", rec["query_labels"], "integer")
     _check_range("query_labels", np.array(labels, dtype=np.int64), n_labels,
                  "vocabulary.txt labels")
@@ -398,7 +443,6 @@ def _fields_of(rec, at, N, rows, n_labels):
         raise DataError(f"frames: {F} frames of N={N} proposals run to row "
                         f"{at + F * N}, past the {rows} rows of features.json")
 
-    gt = rec["gt"]
     if gt is not None:
         for key in ("query", "frame"):
             _checked_list(f"gt.{key}", [g[key] for g in gt], "integer")
@@ -410,7 +454,7 @@ def _fields_of(rec, at, N, rows, n_labels):
         bad = _bad_boxes(gt.box)
         if bad.any():
             raise DataError(f"gt.box: {gt.box[bad][0].tolist()} {_BOX_RULE}")
-    return list(labels), F, gt
+    return sid, split, list(labels), F, gt
 
 
 _JSON_TYPES = {"integer": (int,), "number": (int, float)}

@@ -61,8 +61,7 @@ class ProposalEncoder:
         if x.data.ndim != 2 or x.data.shape[1] != self.D_in:
             raise ShapeError(
                 f"proposal features must be (m, {self.D_in}), got {x.data.shape}")
-        h1 = T.relu(T.dropout(T.add_rowvec(x @ self.W1, self.b1), keep, self.p_drop))
-        return T.add_rowvec(h1 @ self.W2, self.b2)
+        return T.mlp(x, self.W1, self.b1, self.W2, self.b2, keep, self.p_drop)
 
     def params(self, prefix="prop"):
         return {f"{prefix}.W1": self.W1, f"{prefix}.b1": self.b1,

@@ -7,12 +7,12 @@ with at least one instance.
 """
 
 import json
-import os
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
+
+from .data import replacing
 
 IOU_THRESHOLD = 0.5
 
@@ -32,15 +32,8 @@ class EvalReport:
     def save(self, path, mode=None, split=None):
         """Write the report as JSON to a temp file beside path, then move it
         over path, so a failed save leaves any earlier report whole."""
-        path = Path(path)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(self.to_dict(mode, split), fh, indent=1)
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        with replacing(path) as fh:
+            json.dump(self.to_dict(mode, split), fh, indent=1)
 
     @classmethod
     def load(cls, path):

@@ -170,9 +170,7 @@ class GroundingModel:
         width = counts.max()
         with no_grad():
             Q, mask = self._queries([seg.query_labels for seg in segments])
-            feats = np.concatenate([seg.frames["feature"][f].reshape(-1, self.prop_enc.D_in)
-                                    for seg, f in zip(segments, frames)])
-            encoded = self.prop_enc.encode(feats).data
+            encoded = self.prop_enc.encode(stack_features(zip(segments, frames))).data
             P = np.zeros((len(segments), width, encoded.shape[1]))
             P[np.arange(width) < counts[:, None]] = encoded
             cube = G.similarity_cube(Q, Tensor(P), width // N, mask)
@@ -190,10 +188,10 @@ class GroundingModel:
 
 def stack_features(blocks):
     """Proposal features of every (segment, frame_indices) block as one
-    (sum of T*N, D_in) array, frame-major, in the stored float32."""
-    feats = np.stack([segment.frames.feature[frame_indices]
-                      for segment, frame_indices in blocks])
-    return feats.reshape(-1, feats.shape[-1])
+    (sum of len(frame_indices)*N, D_in) array, frame-major, in the stored
+    float32; blocks may hold different numbers of frames."""
+    return np.concatenate([segment.frames.feature[frame_indices].reshape(
+        -1, segment.frames.feature.shape[-1]) for segment, frame_indices in blocks])
 
 
 def load_into_model(model, flat_params):

@@ -5,10 +5,17 @@ array (proposal features, as stored) keeps it, and an op that reads it
 computes in float64. Operations executed while a Tape is active are
 recorded in execution (topological) order; ``backward`` walks the tape
 once in reverse and accumulates gradients into every tensor that requires
-them. The 21 ops are the ones the model runs; the only operator sugar is
+them. The 22 ops are the ones the model runs; the only operator sugar is
 ``@`` (matmul), and negation is ``scale(x, -1.0)``. Nothing in a graph
 draws random numbers: ``dropout`` applies a boolean keep-mask planned
 before the forward pass.
+
+Both two-layer MLPs (the proposal encoder and the attention feed-forward)
+run as one ``mlp`` node, ``relu(dropout(x W1 + b1)) W2 + b2``. It upcasts a
+float32 input one chunk of rows at a time, keeps only its hidden layer, and
+forms its adjoints over the rows whose output adjoint is nonzero: the MIL
+loss scores a (query, frame) by its best proposal, so most proposal rows
+carry none.
 
 A minibatch runs as one graph. ``matmul`` stays 2-D, so row-wise layers
 see the batch as stacked rows; ``similarity`` and ``multi_head_attention``
@@ -246,14 +253,8 @@ def matmul(a, b):
     def bwd(g):
         if a.requires_grad:
             _accumulate(a, g @ b.data.T)
-            if b.requires_grad:
-                _accumulate(b, a.data.T @ g)
-        elif b.requires_grad:
-            # A constant left operand (proposal features) reaches the loss
-            # through a max over proposals, so most rows of g are zero; the
-            # weight adjoint sums only the rows that carry gradient.
-            rows = np.flatnonzero(g.any(axis=1))
-            _accumulate(b, a.data[rows].T @ g[rows])
+        if b.requires_grad:
+            _accumulate(b, a.data.T @ g)
 
     return _record("matmul", out, (a, b), bwd)
 
@@ -526,6 +527,90 @@ def dropout(x, keep, p):
         _accumulate(x, g * np.where(keep, scale, 0.0))
 
     return _record("dropout", out, (x,), bwd)
+
+
+# mlp's first product runs over chunks of rows, so a float32 input is upcast
+# one chunk at a time. A chunk holds at least _MLP_CHUNK input entries (8 MB
+# as float64) in a multiple of _MLP_ROW_BLOCK rows, and the last chunk takes
+# the leftover rows. Chunks like these start on OpenBLAS's row-block
+# boundaries and stay above the product size (about 1e6 multiply-adds) below
+# which it switches kernels, so each row comes out bit for bit as from one
+# whole product wherever that product does not itself depend on the BLAS
+# thread count (hidden widths that are multiples of 16, such as 512).
+_MLP_CHUNK = 1 << 20
+_MLP_ROW_BLOCK = 192
+
+
+def _mlp_chunk_rows(n):
+    """Rows per chunk of mlp's first product for an input n entries wide."""
+    return _MLP_ROW_BLOCK * -(-_MLP_CHUNK // (_MLP_ROW_BLOCK * max(n, 1)))
+
+
+def mlp(x, W1, b1, W2, b2, keep=None, p=0.0):
+    """relu(dropout(x W1 + b1, keep, p)) W2 + b2 as one tape node.
+
+    x: (m, n), W1: (n, h), b1: (h,), W2: (h, d), b2: (d,) -> (m, d). keep:
+    the (m, h) boolean dropout keep-mask of the hidden layer, or None (no
+    dropout). The hidden layer is one float64 buffer, written chunk by chunk
+    and then biased, scaled and rectified in place; the node keeps only it.
+    Backward works on the rows whose output adjoint is nonzero: behind a max
+    over proposals, most rows carry none.
+    """
+    if not 0.0 <= p < 1.0:
+        raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
+    if (x.data.ndim != 2 or W1.data.ndim != 2 or W2.data.ndim != 2
+            or W1.data.shape[0] != x.data.shape[1] or b1.data.shape != W1.data.shape[1:]
+            or W2.data.shape[0] != W1.data.shape[1] or b2.data.shape != W2.data.shape[1:]):
+        raise ShapeError(f"mlp: shapes x {x.data.shape}, W1 {W1.data.shape}, "
+                         f"b1 {b1.data.shape}, W2 {W2.data.shape}, b2 {b2.data.shape} "
+                         "do not chain")
+    (m, n), width = x.data.shape, W1.data.shape[1]
+    if keep is not None and keep.shape != (m, width):
+        raise ShapeError(f"mlp: mask of shape {keep.shape} for a hidden layer of "
+                         f"{(m, width)}")
+    h = np.empty((m, width))
+    rows = _mlp_chunk_rows(n)
+    bounds = [i * rows for i in range(max(1, m // rows))] + [m]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        np.matmul(x.data[lo:hi], W1.data, out=h[lo:hi])
+    h += b1.data
+    scale = 1.0 / (1.0 - p)
+    if keep is not None:
+        h *= keep
+        h *= scale
+    np.maximum(0.0, h, out=h)
+    y = h @ W2.data
+    y += b2.data
+    out = Tensor(y)
+
+    def bwd(g):
+        rows = np.flatnonzero(g.any(axis=1))
+        dense = rows.size == m
+        if dense:
+            rows = slice(None)  # views, not copies
+        g, hr = g[rows], h[rows]
+        if b2.requires_grad:
+            _accumulate(b2, g.sum(axis=0))
+        if W2.requires_grad:
+            _accumulate(W2, hr.T @ g)
+        if not (x.requires_grad or W1.requires_grad or b1.requires_grad):
+            return
+        gz = g @ W2.data.T
+        gz *= hr > 0
+        if keep is not None:
+            gz *= scale
+        if b1.requires_grad:
+            _accumulate(b1, gz.sum(axis=0))
+        if W1.requires_grad:
+            _accumulate(W1, x.data[rows].T @ gz)
+        if x.requires_grad:
+            gx = gz @ W1.data.T
+            if not dense:
+                gx_rows, gx = gx, np.zeros(x.data.shape)
+                gx[rows] = gx_rows
+            _accumulate(x, gx)
+
+    return _record("mlp", out, (x, W1, b1, W2, b2), bwd)
 
 
 # --------------------------------------------------------------------------

@@ -3,14 +3,15 @@
 import csv
 import json
 import logging
+import os
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
 from .data import (DataError, IntegrityError, SamplingError, checked_counts,
-                   disjoint_rows, label_members, sample_frames,
-                   sample_negative_sentence)
+                   disjoint_rows, label_members, replacing, sample_frames,
+                   sample_negative_sentence, temp_beside)
 from .evaluate import evaluate_model
 from .model import GroundingModel, load_into_model
 from .tensor import ShapeError, Tape, backward
@@ -160,7 +161,7 @@ def train(config, splits, out_dir=None, log_every=0):
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         checkpoint_save(out_dir / "checkpoint", model.params(), config)
-        with open(out_dir / "trainlog.csv", "w", newline="") as fh:
+        with replacing(out_dir / "trainlog.csv") as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "train_loss", "val_accuracy"])
             writer.writerows(history)
@@ -171,15 +172,32 @@ def train(config, splits, out_dir=None, log_every=0):
 # checkpoints: flat float64 binary + JSON manifest of named shapes
 
 def checkpoint_save(path_prefix, params, config=None):
+    """Write params as <prefix>.bin (float64, in manifest order) and their
+    manifest <prefix>.json.
+
+    Both go to .<name>.<pid>.tmp files beside their targets, each parameter
+    streamed to the blob. Only when both are written do they replace their
+    targets, the manifest last and with any old one removed first, so a save
+    that fails leaves the earlier checkpoint whole and no temp file.
+    """
     path_prefix = Path(path_prefix)
     manifest = {"params": {name: list(t.data.shape) for name, t in params.items()}}
     if config is not None:
         manifest["config"] = config.to_dict()
-    blob = b"".join(params[name].data.astype("<f8").tobytes()
-                    for name in manifest["params"])
-    path_prefix.with_suffix(".bin").write_bytes(blob)
-    path_prefix.with_suffix(".json").write_text(json.dumps(manifest, indent=1),
-                                                encoding="utf-8")
+    targets = (path_prefix.with_suffix(".bin"), path_prefix.with_suffix(".json"))
+    tmp = [temp_beside(path) for path in targets]
+    try:
+        with open(tmp[0], "wb") as blob:
+            for name in manifest["params"]:
+                blob.write(np.ascontiguousarray(params[name].data, dtype="<f8"))
+        tmp[1].write_text(json.dumps(manifest, indent=1), encoding="utf-8")
+        targets[1].unlink(missing_ok=True)
+        for path, target in zip(tmp, targets):
+            os.replace(path, target)
+    except BaseException:
+        for path in tmp:
+            path.unlink(missing_ok=True)
+        raise
 
 
 def checkpoint_load(path_prefix):

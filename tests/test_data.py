@@ -434,6 +434,55 @@ def test_load_rejects_values_of_the_wrong_json_type(tmp_path, field, path, value
     assert f"segments.jsonl:1: {field}: {value!r} is not a JSON " in err
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_load_refuses_non_finite_features(tmp_path, value):
+    vocab, splits = generate_synthetic(SMALL)
+    save_segments(tmp_path, vocab, splits)
+    feats = np.fromfile(tmp_path / "features.bin", dtype="<f4").reshape(-1, 8)
+    feats[70, 3] = value  # row 70 is segment 3's frame 2, proposal 0
+    feats.tofile(tmp_path / "features.bin")
+    err = _load_error(tmp_path)
+    assert f"{tmp_path / 'features.bin'}: row 70: feature 3 is {np.float32(value)}, " \
+        "not a finite number" in err
+
+
+# SMALL saves its splits in sorted order: lines 1-3 are test, 4-7 train and
+# 8-10 val records
+@pytest.mark.parametrize("value", [5, ["test00000"], None])
+def test_load_rejects_a_segment_id_that_is_not_a_string(tmp_path, value):
+    def edit(rec):
+        rec["segment_id"] = value
+    err = _load_error(_saved_with_edit(tmp_path, 2, edit))
+    assert f"segments.jsonl:2: segment_id: {value!r} is not a JSON string" in err
+
+
+def test_load_rejects_a_repeated_segment_id(tmp_path):
+    def edit(rec):
+        rec["segment_id"] = "test00000"
+    err = _load_error(_saved_with_edit(tmp_path, 9, edit))
+    assert "segments.jsonl:9: segment_id: 'test00000' is already the id of line 1" in err
+
+
+@pytest.mark.parametrize("value", [5, "dev", "Train", ["test"]])
+def test_load_rejects_an_unknown_split(tmp_path, value):
+    def edit(rec):
+        rec["split"] = value
+    err = _load_error(_saved_with_edit(tmp_path, 1, edit))
+    assert f"segments.jsonl:1: split: {value!r} is not one of train, val, test" in err
+
+
+@pytest.mark.parametrize("lineno, edit, want", [
+    (1, lambda rec: rec.update(gt=None), "gt: null on a test record"),
+    (8, lambda rec: rec.update(gt=None), "gt: null on a val record"),
+    (4, lambda rec: rec.update(gt=[]), "gt: a list on a train record"),
+    (2, lambda rec: rec.update(split="train"), "gt: a list on a train record"),
+], ids=["test-null", "val-null", "train-list", "moved-to-train"])
+def test_load_requires_gt_null_exactly_on_train_records(tmp_path, lineno, edit, want):
+    err = _load_error(_saved_with_edit(tmp_path, lineno, edit))
+    assert f"segments.jsonl:{lineno}: {want}, but gt is null exactly on train records" \
+        in err
+
+
 # the BoundingBox rules: zero width, inverted, negative coordinate, NaN,
 # zero height, and the inverted box [5, 5, 1, 1]
 BAD_BOXES = [[1, 0, 1, 1], [2, 0, 1, 1], [-1, 0, 1, 1], [math.nan, 0, 1, 1],

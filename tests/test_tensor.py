@@ -498,6 +498,23 @@ GRAD_CASES = {
 }
 
 
+# mlp on (m, n) inputs with a hidden width of 3 and an output width of 2; a
+# fixed 0/1 row weight zeroes the adjoint of every odd output row, as the max
+# over proposals does in the model
+def _mlp_case(keep_of):
+    def op(x, W1, b1, W2, b2):
+        rows = (np.arange(x.shape[0]) % 2 == 0)[:, None] * np.ones(2)
+        return T.mul(T.mlp(x, W1, b1, W2, b2, keep_of(x.shape[0]), 0.4), Tensor(rows))
+    return ([_normal, lambda rng, shape: _normal(rng, (shape[1], 3)),
+             lambda rng, shape: _normal(rng, (3,)), lambda rng, shape: _normal(rng, (3, 2)),
+             lambda rng, shape: _normal(rng, (2,))], op)
+
+
+GRAD_CASES["mlp"] = _mlp_case(lambda m: None)
+# with a fixed checkerboard keep-mask on the hidden layer
+MLP_CASES = {"mlp_dropout": _mlp_case(lambda m: np.indices((m, 3)).sum(axis=0) % 2 == 0)}
+
+
 # Graphs where one tensor feeds two takes: the second take backward adds into
 # the grad the first one left (in place, as no row repeats), and into a
 # read-only grad shared with a pass-through op (never in place).
@@ -517,12 +534,13 @@ def test_gradient_cases_cover_every_recording_op():
     assert recording == set(GRAD_CASES) | {"matmul", "multi_head_attention"}
 
 
-@pytest.mark.parametrize("name", sorted(GRAD_CASES) + sorted(TAKE_CASES))
+@pytest.mark.parametrize("name", sorted(GRAD_CASES) + sorted(TAKE_CASES)
+                         + sorted(MLP_CASES))
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4),
-       st.lists(st.booleans(), min_size=3, max_size=3), st.integers(0, 2**31 - 1))
+       st.lists(st.booleans(), min_size=5, max_size=5), st.integers(0, 2**31 - 1))
 def test_op_gradients_match_central_differences(name, m, n, flags, seed):
-    makers, op = {**GRAD_CASES, **TAKE_CASES}[name]
+    makers, op = {**GRAD_CASES, **TAKE_CASES, **MLP_CASES}[name]
     rng = np.random.default_rng(seed)
     inputs = [Tensor(make(rng, (m, n)), requires_grad=flag)
               for make, flag in zip(makers, flags)]
@@ -550,3 +568,66 @@ def test_op_gradients_match_central_differences(name, m, n, flags, seed):
             numeric[i] = (up - f()) / 2e-6
             t.data[i] = orig
         assert np.allclose(t.grad, numeric, rtol=1e-6, atol=1e-8)
+
+
+def _mlp_reference(x, W1, b1, W2, b2, keep, p):
+    """mlp as the ops it fuses."""
+    return T.add_rowvec(T.relu(T.dropout(T.add_rowvec(x @ W1, b1), keep, p)) @ W2, b2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.booleans(), st.booleans(), st.lists(st.booleans(), min_size=5, max_size=5),
+       st.integers(0, 2**31 - 1))
+def test_mlp_matches_the_ops_it_fuses(chunked, masked, flags, seed):
+    """Bitwise-equal values and adjoints within 1e-12 of the composed ops, for
+    float32 inputs (as proposal features are stored) of one chunk or of
+    several. Several chunks need inputs thousands of entries wide; their
+    hidden widths are multiples of 16, where one whole product does not
+    depend on the BLAS thread count (see tensor._MLP_CHUNK)."""
+    rng = np.random.default_rng(seed)
+    if chunked:
+        n = int(rng.integers(2731, 5463))
+        rows = T._mlp_chunk_rows(n)
+        # two or three chunks; the last takes any leftover rows, one included
+        m = int(rng.integers(2, 4)) * rows + int(rng.choice([0, 1, rng.integers(rows)]))
+        h = 16 * int(rng.integers(1, 4))
+    else:
+        m, n, h = (int(v) for v in rng.integers(1, [40, 13, 13]))
+    d = int(rng.integers(1, 7))
+    arrays = [rng.standard_normal((m, n)).astype(np.float32),
+              rng.standard_normal((n, h)) / math.sqrt(n), rng.standard_normal(h),
+              rng.standard_normal((h, d)), rng.standard_normal(d)]
+    keep = rng.random((m, h)) >= 0.3 if masked else None
+    g = rng.standard_normal((m, d))
+    g[rng.random(m) < 0.5] = 0.0  # output rows that carry no gradient
+
+    def run(op):
+        inputs = [Tensor(a, requires_grad=f) for a, f in zip(arrays, flags)]
+        with Tape() as tape:
+            out = op(*inputs, keep, 0.3)
+            if tape.nodes:
+                backward(_sum(T.mul(out, Tensor(g))))
+        return out.data, [t.grad for t in inputs], [node.name for node in tape.nodes]
+
+    got, grads, nodes = run(T.mlp)
+    want, want_grads, _ = run(_mlp_reference)
+    assert np.array_equal(got, want)
+    assert nodes == (["mlp", "mul", "mean_all", "scale"] if any(flags) else [])
+    for grad, want_grad, flag in zip(grads, want_grads, flags):
+        if not flag:
+            assert grad is None
+            continue
+        assert np.allclose(grad, want_grad, rtol=1e-12, atol=1e-12)
+
+
+def test_mlp_rejects_shapes_that_do_not_chain():
+    x, W1, b1 = Tensor(np.ones((4, 3))), Tensor(np.ones((3, 5))), Tensor(np.ones(5))
+    W2, b2 = Tensor(np.ones((5, 2))), Tensor(np.ones(2))
+    with pytest.raises(ShapeError, match=r"W1 \(3, 5\).*W2 \(4, 2\)"):
+        T.mlp(x, W1, b1, Tensor(np.ones((4, 2))), b2)
+    with pytest.raises(ShapeError, match=r"b2 \(3,\)"):
+        T.mlp(x, W1, b1, W2, Tensor(np.ones(3)))
+    with pytest.raises(ShapeError, match=r"mask of shape \(4, 2\)"):
+        T.mlp(x, W1, b1, W2, b2, np.ones((4, 2), dtype=bool), 0.5)
+    with pytest.raises(ConfigError):
+        T.mlp(x, W1, b1, W2, b2, np.ones((4, 5), dtype=bool), 1.0)

@@ -3,7 +3,9 @@ import gc
 import json
 import math
 import re
+import tempfile
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -341,6 +343,8 @@ def test_train_writes_artifacts(tmp_path):
     lines = (tmp_path / "trainlog.csv").read_text().splitlines()
     assert lines[0] == "epoch,train_loss,val_accuracy"
     assert len(lines) == 1 + TINY.epochs
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["checkpoint.bin", "checkpoint.json", "trainlog.csv"]  # no temp file left
 
 
 def test_train_deterministic_loss_log():
@@ -380,6 +384,52 @@ def test_checkpoint_truncated_blob(tmp_path):
     (tmp_path / "ck.bin").write_bytes(blob[:-8])
     with pytest.raises(IntegrityError, match=re.escape(str(tmp_path / "ck.bin"))):
         checkpoint_load(tmp_path / "ck")
+
+
+class _UnwritableConfig:
+    def to_dict(self):
+        return {"lr": object()}  # no JSON form
+
+
+@pytest.mark.parametrize("where", ["mid-blob", "manifest"])
+def test_checkpoint_save_that_fails_keeps_the_earlier_checkpoint(tmp_path, where):
+    model = GroundingModel(TINY, np.random.default_rng(0))
+    checkpoint_save(tmp_path / "ck", model.params(), TINY)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    params = GroundingModel(TINY, np.random.default_rng(1)).params()
+    config = TINY
+    if where == "mid-blob":
+        # the last parameter has no float64 form: the save fails after
+        # streaming every other parameter
+        params = dict(params, zz=Tensor(np.zeros(2)))
+        params["zz"].data = np.array(["x", "y"])
+    else:
+        config = _UnwritableConfig()  # the manifest fails after the whole blob
+    with pytest.raises((ValueError, TypeError)):
+        checkpoint_save(tmp_path / "ck", params, config)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 3), max_size=3), min_size=1, max_size=4),
+       st.integers(0, 2**31 - 1))
+def test_checkpoint_survives_save_load_save_byte_for_byte(shapes, seed):
+    rng = np.random.default_rng(seed)
+    params = {f"p{i}": Tensor(rng.standard_normal(shape)) for i, shape in enumerate(shapes)}
+    params["p0"].data.flat[:1] = -0.0
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "a"), Path(tmp, "b")
+        checkpoint_save(first, params, TINY)
+        flat, config = checkpoint_load(first)
+        checkpoint_save(second, {name: Tensor(a) for name, a in flat.items()},
+                        GroundingConfig.from_dict(config))
+        for suffix in (".bin", ".json"):
+            assert first.with_suffix(suffix).read_bytes() == \
+                second.with_suffix(suffix).read_bytes()
+        blob = b"".join(t.data.astype("<f8").tobytes() for t in params.values())
+        assert first.with_suffix(".bin").read_bytes() == blob
+        assert sorted(p.name for p in Path(tmp).iterdir()) == \
+            ["a.bin", "a.json", "b.bin", "b.json"]
 
 
 @pytest.mark.parametrize("shape, want", [
