@@ -79,6 +79,21 @@ def _report(hit, label_ids, vocab):
     return EvalReport(per_class=per_class, macro_accuracy=macro)
 
 
+def _hits(boxes, gt_box):
+    return iou(boxes, gt_box) > IOU_THRESHOLD
+
+
+def _candidates(scored):
+    """(R, N, 4): the proposal boxes at the frame of every gt record."""
+    return np.concatenate([seg.frames["box"][seg.gt["frame"]] for seg in scored])
+
+
+def _bound(candidates, gt_box, label_ids, vocab):
+    """Macro accuracy if the best candidate of every gt record were chosen."""
+    hit = _hits(candidates, gt_box[:, None]).any(axis=-1)
+    return _report(hit, label_ids, vocab).macro_accuracy
+
+
 def box_accuracy(samples, predictions, vocab):
     """predictions: {(segment_id, query_idx, frame_idx): box (x1, y1, x2, y2)}.
 
@@ -97,7 +112,7 @@ def box_accuracy(samples, predictions, vocab):
         sid, q, f = keys[j]
         warnings.warn(f"no prediction for {sid} query {q} frame {f}; counted as miss")
         boxes[j] = gt_box[j]
-    hit = iou(np.reshape(boxes, (-1, 4)), gt_box) > IOU_THRESHOLD
+    hit = _hits(np.reshape(boxes, (-1, 4)), gt_box)
     hit[missing] = False
     return _report(hit, label_ids, vocab)
 
@@ -108,28 +123,32 @@ def upper_bound(samples, vocab):
     if columns is None:
         return 0.0
     scored, label_ids, gt_box = columns
-    proposals = np.concatenate([seg.frames["box"][seg.gt["frame"]] for seg in scored])
-    hit = (iou(proposals, gt_box[:, None]) > IOU_THRESHOLD).any(axis=-1)
-    return _report(hit, label_ids, vocab).macro_accuracy
+    return _bound(_candidates(scored), gt_box, label_ids, vocab)
 
 
 def evaluate_model(model, samples, vocab=None):
-    """Ground every gt (query, frame) with the model and report box accuracy.
+    """Ground every gt (query, frame) with the model and report box accuracy
+    and the proposal upper bound, the split tallied in two IoU calls.
 
     The model predicts config.batch segments per pass, so no eval block is
     larger than a training minibatch.
     """
     if vocab is None:  # synthetic in-memory runs know only the vocab ids
         vocab = [f"label{i:03d}" for i in range(model.config.V)]
-    predictions = {}
+    columns = _gt_columns(samples)
+    if columns is None:
+        return EvalReport(upper_bound=0.0)
+    scored, label_ids, gt_box = columns
+    picks = []                  # the chosen proposal of every gt record
     step = model.config.batch
     for start in range(0, len(samples), step):
         chunk = samples[start:start + step]
-        for seg, picks in zip(chunk, model.predict(chunk)):
-            boxes, sid = seg.frames["box"], seg.segment_id
-            predictions.update(((sid, k, f), boxes[f, i]) for (k, f), i in picks.items())
-    report = box_accuracy(samples, predictions, vocab)
-    report.upper_bound = upper_bound(samples, vocab)
+        picks += [p[seg.gt["query"], seg.gt["frame"]]
+                  for seg, p in zip(chunk, model.predict(chunk)) if seg.gt is not None]
+    candidates = _candidates(scored)
+    chosen = candidates[np.arange(len(candidates)), np.concatenate(picks)]
+    report = _report(_hits(chosen, gt_box), label_ids, vocab)
+    report.upper_bound = _bound(candidates, gt_box, label_ids, vocab)
     return report
 
 

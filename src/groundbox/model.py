@@ -156,7 +156,8 @@ class GroundingModel:
         Proposal rows of all segments go through the MLP as one block, are
         scattered into a (B, F_max*N, d) block padded with whole zero frames,
         and meet the padded queries in one similarity cube. Returns, per
-        segment, {(query_idx, frame_idx): index of the chosen proposal}.
+        segment, an (O, F) np.intp array of the chosen proposal of query k at
+        frame f, -1 at the frames it did not score; ties take the lowest index.
         """
         if not segments:
             return []
@@ -179,10 +180,9 @@ class GroundingModel:
         pick = np.argmax(cube.a.data, axis=-1)
         out = []
         for seg, f, p in zip(segments, frames, pick):
-            p = p[:len(seg.query_labels), :len(f)].tolist()
-            f = f.tolist()
-            out.append({(k, fr): row[t] for k, row in enumerate(p)
-                        for t, fr in enumerate(f)})
+            picks = np.full((len(seg.query_labels), seg.n_frames), -1, dtype=np.intp)
+            picks[:, f] = p[:len(seg.query_labels), :len(f)]
+            out.append(picks)
         return out
 
 
@@ -190,8 +190,9 @@ def stack_features(blocks):
     """Proposal features of every (segment, frame_indices) block as one
     (sum of len(frame_indices)*N, D_in) array, frame-major, in the stored
     float32; blocks may hold different numbers of frames."""
-    return np.concatenate([segment.frames.feature[frame_indices].reshape(
-        -1, segment.frames.feature.shape[-1]) for segment, frame_indices in blocks])
+    stacked = np.concatenate([segment.frames["feature"][frame_indices]
+                              for segment, frame_indices in blocks])
+    return stacked.reshape(-1, stacked.shape[-1])
 
 
 def load_into_model(model, flat_params):
@@ -207,4 +208,4 @@ def load_into_model(model, flat_params):
         if arr.shape != t.data.shape:
             raise T.ShapeError(
                 f"parameter {name}: checkpoint shape {arr.shape} != model {t.data.shape}")
-        t.data = arr.copy()
+        t.data = arr.copy()   # checkpoint_load returns views of one blob

@@ -201,7 +201,7 @@ def checkpoint_save(path_prefix, params, config=None):
 
 
 def checkpoint_load(path_prefix):
-    """Returns ({name: float64 array}, config dict or None)."""
+    """Returns ({name: float64 view of the blob}, config dict or None)."""
     path_prefix = Path(path_prefix)
     json_path, bin_path = path_prefix.with_suffix(".json"), path_prefix.with_suffix(".bin")
     try:
@@ -210,16 +210,18 @@ def checkpoint_load(path_prefix):
                   for name, s in manifest["params"].items()}
     except (json.JSONDecodeError, DataError, KeyError, TypeError) as exc:
         raise IntegrityError(f"{json_path}: corrupt checkpoint manifest: {exc}") from exc
-    raw = bin_path.read_bytes()
     expected = sum(int(np.prod(s)) for s in shapes.values()) * 8
-    if len(raw) != expected:
+    size = bin_path.stat().st_size
+    if size == expected:
+        flat = np.fromfile(bin_path, dtype="<f8")
+        size = flat.nbytes          # the file may have changed since stat
+    if size != expected:
         raise IntegrityError(
-            f"{bin_path} holds {len(raw)} bytes, {json_path.name} expects {expected}")
-    flat = np.frombuffer(raw, dtype="<f8")
+            f"{bin_path} holds {size} bytes, {json_path.name} expects {expected}")
     out = {}
     offset = 0
     for name, shape in shapes.items():
         n = int(np.prod(shape))
-        out[name] = flat[offset:offset + n].reshape(shape).copy()
+        out[name] = flat[offset:offset + n].reshape(shape)
         offset += n
     return out, manifest.get("config")

@@ -139,14 +139,29 @@ def test_check_nan_names_first_offending_op():
 # --------------------------------------------------------------------------
 # model plumbing
 
+def _scored(seg):
+    """Which frames predict scores: those with a gt record, all without gt."""
+    if seg.gt is None or not len(seg.gt):
+        return np.ones(seg.n_frames, dtype=bool)
+    return np.isin(np.arange(seg.n_frames), seg.gt["frame"])
+
+
+def _check_picks(seg, picks):
+    """An (O, F) np.intp pick array: a proposal index at the scored frames,
+    -1 at every other frame."""
+    assert picks.dtype == np.intp
+    assert picks.shape == (len(seg.query_labels), seg.n_frames)
+    assert np.array_equal(picks >= 0, np.broadcast_to(_scored(seg), picks.shape))
+    assert (picks < seg.frames.shape[1]).all()
+
+
 def test_model_predict_covers_all_gt_frames():
     vocab, splits = generate_synthetic(TINY)
     model = GroundingModel(TINY, np.random.default_rng(0))
     seg = splits["val"][0]
-    [preds] = model.predict([seg])
-    want = {(g.query, g.frame) for g in seg.gt}
-    assert want <= set(preds)
-    assert set(preds.values()) <= set(range(TINY.N))
+    [picks] = model.predict([seg])
+    _check_picks(seg, picks)
+    assert (picks[seg.gt["query"], seg.gt["frame"]] >= 0).all()
 
 
 def test_predict_takes_lowest_index_on_ties():
@@ -158,9 +173,9 @@ def test_predict_takes_lowest_index_on_ties():
     f = int(seg.gt["frame"][0])
     seg.frames.feature[f] = seg.frames.feature[f, 0]
     model = GroundingModel(TINY, np.random.default_rng(0))
-    [preds] = model.predict([seg])
-    assert set(preds) == {(k, f) for k in range(len(seg.query_labels))}
-    assert all(i == 0 for i in preds.values())
+    [picks] = model.predict([seg])
+    _check_picks(seg, picks)
+    assert (picks[:, f] == 0).all()
 
 
 _, PREDICT_SPLITS = generate_synthetic(TINY.replace(test_segments=8))
@@ -192,14 +207,13 @@ def test_batched_predict_matches_one_segment_at_a_time(data):
     items = [_predict_item(data.draw, b) for b in range(data.draw(st.integers(1, 5)))]
     segments = [seg for seg, _ in items]
     batched = model.predict(segments)
-    assert batched == [model.predict([seg])[0] for seg in segments]
+    singles = [model.predict([seg])[0] for seg in segments]
+    assert len(batched) == len(singles)
+    assert all(np.array_equal(a, b) for a, b in zip(batched, singles))
     for (seg, tie_frame), picks in zip(items, batched):
-        frames = (range(seg.n_frames) if seg.gt is None
-                  else np.unique(seg.gt["frame"]).tolist())
-        assert set(picks) == {(k, f) for k in range(len(seg.query_labels))
-                              for f in frames}
+        _check_picks(seg, picks)
         if tie_frame is not None:
-            assert all(i == 0 for (_, f), i in picks.items() if f == tie_frame)
+            assert (picks[:, tie_frame] == 0).all()
 
 
 def test_trainable_params_by_mode():
@@ -575,6 +589,67 @@ def test_split_tally_matches_per_segment_reference(seed):
     assert list(report.per_class.items()) == list(per_class.items())
     assert report.macro_accuracy == macro
     assert upper_bound(samples, vocab) == bound
+
+
+def _dict_report(model, samples, vocab):
+    """The report tallied the dict way: model.predict's picks, config.batch
+    segments per call, turned into a {(segment_id, query, frame): box} dict
+    for box_accuracy, plus upper_bound."""
+    predictions = {}
+    step = model.config.batch
+    for start in range(0, len(samples), step):
+        chunk = samples[start:start + step]
+        for seg, picks in zip(chunk, model.predict(chunk)):
+            for k, f in zip(*np.nonzero(picks >= 0)):
+                predictions[(seg.segment_id, k, f)] = seg.frames["box"][f, picks[k, f]]
+    report = box_accuracy(samples, predictions, vocab)
+    return report, upper_bound(samples, vocab)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_evaluate_model_matches_the_dict_tally(seed):
+    # splits of 1..11 segments (TINY.batch is 3) mixing segments with gt,
+    # without gt and with an empty gt array
+    rng = np.random.default_rng(seed)
+    model = GroundingModel(TINY, np.random.default_rng(int(rng.integers(1 << 16))))
+    samples = []
+    for i in range(rng.integers(1, 12)):
+        seg = PREDICT_POOL[rng.integers(len(PREDICT_POOL))]
+        gt = [seg.gt, None, seg.gt[:0]][rng.choice(3, p=[0.6, 0.2, 0.2])]
+        samples.append(SegmentSample(f"s{i}", "test", seg.query_labels, seg.frames, gt))
+    vocab = [f"v{i}" for i in rng.permutation(TINY.V)]
+    want, bound = _dict_report(model, samples, vocab)
+    report = evaluate_model(model, samples, vocab=vocab)
+    assert list(report.per_class.items()) == list(want.per_class.items())
+    assert report.macro_accuracy == want.macro_accuracy
+    assert report.upper_bound == bound
+
+
+@pytest.mark.parametrize("gts", [[], [None] * 4, ["empty"] * 4, [None, "empty"] * 2],
+                         ids=["no-segments", "no-gt", "empty-gt", "mixed"])
+def test_evaluate_model_without_gt_records_matches_the_dict_tally(gts):
+    model = GroundingModel(TINY, np.random.default_rng(0))
+    seg = PREDICT_POOL[0]
+    samples = [SegmentSample(f"s{i}", "test", seg.query_labels, seg.frames,
+                             None if gt is None else seg.gt[:0]) for i, gt in enumerate(gts)]
+    vocab = [f"v{i}" for i in range(TINY.V)]
+    want, bound = _dict_report(model, samples, vocab)
+    report = evaluate_model(model, samples, vocab=vocab)
+    assert (report.per_class, report.macro_accuracy, report.upper_bound) == \
+        (want.per_class, want.macro_accuracy, bound)
+
+
+def test_evaluate_model_does_not_predict_without_gt(monkeypatch):
+    model = GroundingModel(TINY, np.random.default_rng(0))
+    seg = PREDICT_POOL[0]
+    monkeypatch.setattr(model, "predict", None)   # a call would raise
+    no_gt = [SegmentSample(f"s{i}", "train", seg.query_labels, seg.frames)
+             for i in range(4)]
+    for samples in ([], no_gt):
+        report = evaluate_model(model, samples)
+        assert (report.per_class, report.macro_accuracy, report.upper_bound) == \
+            ({}, 0.0, 0.0)
 
 
 def test_evaluate_model_of_no_segments_is_empty():
