@@ -16,10 +16,15 @@ b1 = T.uniform_init(rng, (4,), fan_in=6)
 W2 = T.uniform_init(rng, (4, 3), fan_in=4)
 x = Tensor(rng.standard_normal((5, 6)))
 
-with Tape():
+
+def f():
     h = T.relu(T.add_rowvec(x @ W1, b1))
     p = T.sigmoid(h @ W2)
-    loss = T.scale(T.mean_all(T.log(T.clamp_min(p, 1e-8))), -1.0)
+    return T.mean_all(T.penalty(p))  # the loss's frame penalty -log 2p, averaged
+
+
+with Tape():
+    loss = f()
     backward(loss)
 
 print(f"loss = {loss.item():.4f}")
@@ -27,10 +32,5 @@ print(f"dL/dW1 norm = {np.linalg.norm(W1.grad):.4f}")
 print(f"dL/db1      = {np.round(b1.grad, 4)}")
 
 # Every gradient above should agree with finite differences to ~1e-9.
-def f():
-    h = T.relu(T.add_rowvec(x @ W1, b1))
-    p = T.sigmoid(h @ W2)
-    return T.scale(T.mean_all(T.log(T.clamp_min(p, 1e-8))), -1.0)
-
 err, name = finite_diff_check(f, {"W1": W1, "b1": b1, "W2": W2}, step=1e-5)
 print(f"worst finite-difference relative error: {err:.2e} (at {name})")

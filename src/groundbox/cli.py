@@ -80,7 +80,10 @@ def _config_from_args(args, extra_defaults=None):
     if getattr(args, "config", None):
         values.update(parse_config_file(args.config))
     if args.seed is None and "GROUNDBOX_SEED" in os.environ:
-        values["seed"] = int(os.environ["GROUNDBOX_SEED"])
+        try:
+            values["seed"] = int(os.environ["GROUNDBOX_SEED"])
+        except ValueError as exc:
+            raise ConfigError(f"GROUNDBOX_SEED: {exc}") from exc
     for key in ("seed", "lam", "delta", "T", "N"):
         val = getattr(args, key, None)
         if val is not None:

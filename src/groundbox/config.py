@@ -63,8 +63,16 @@ class GroundingConfig:
 
     def validate(self):
         for field, kind in _FIELD_TYPES.items():
-            if kind is float and not math.isfinite(getattr(self, field)):
-                raise ConfigError(f"{field} must be finite, got {getattr(self, field)}")
+            if kind is LossMode:
+                continue
+            value = getattr(self, field)
+            # an int field takes an int, a float field an int or a float;
+            # bool is an int subclass and counts as neither
+            if isinstance(value, bool) or not isinstance(value, (int, kind)):
+                wanted = "an int" if kind is int else "a number"
+                raise ConfigError(f"{field} must be {wanted}, got {value!r}")
+            if kind is float and not math.isfinite(value):
+                raise ConfigError(f"{field} must be finite, got {value}")
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError(f"lam must be in [0, 1], got {self.lam}")
         if self.delta <= 0:

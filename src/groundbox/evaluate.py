@@ -39,6 +39,9 @@ class EvalReport:
     def load(cls, path):
         with open(path, encoding="utf-8") as fh:
             d = json.load(fh)
+        missing = [key for key in ("per_class", "macro_accuracy") if key not in d]
+        if missing:
+            raise ValueError(f"{path}: report lacks {missing}")
         return cls(per_class=d["per_class"], macro_accuracy=d["macro_accuracy"],
                    upper_bound=d.get("upper_bound")), d
 

@@ -22,9 +22,6 @@ import numpy as np
 from . import tensor as T
 from .tensor import ShapeError, Tensor
 
-LOG_EPS = 1e-8  # sigmoid outputs cannot hit 0 analytically but can underflow
-
-
 class SimilarityCube:
     """a[..., k, t, i] in (0,1) for O queries, T frames, N proposals per frame.
 
@@ -69,8 +66,7 @@ def similarity_cube(Q, P, n_frames, mask=None):
 
 def penalty(c):
     """D_t = -log(2 C_t); negative (a reward) when C_t > 0.5."""
-    c = c if isinstance(c, Tensor) else Tensor(c)
-    return T.scale(T.log(T.clamp_min(T.scale(c, 2.0), LOG_EPS)), -1.0)
+    return T.penalty(c if isinstance(c, Tensor) else Tensor(c))
 
 
 def _hinge_sum(cube_pos, vis_neg_cubes, sent_neg_cubes, delta, score):
@@ -80,7 +76,7 @@ def _hinge_sum(cube_pos, vis_neg_cubes, sent_neg_cubes, delta, score):
     s_pos = score(cube_pos)
     total = None
     for neg in [*vis_neg_cubes, *sent_neg_cubes]:
-        term = T.relu(T.shift(T.sub(score(neg), s_pos), delta))
+        term = T.hinge(score(neg), s_pos, delta)
         total = term if total is None else T.add(total, term)
     return total
 

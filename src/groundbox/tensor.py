@@ -5,10 +5,14 @@ array (proposal features, as stored) keeps it, and an op that reads it
 computes in float64. Operations executed while a Tape is active are
 recorded in execution (topological) order; ``backward`` walks the tape
 once in reverse and accumulates gradients into every tensor that requires
-them. The 22 ops are the ones the model runs; the only operator sugar is
-``@`` (matmul), and negation is ``scale(x, -1.0)``. Nothing in a graph
-draws random numbers: ``dropout`` applies a boolean keep-mask planned
-before the forward pass.
+them. The 20 ops are the ones the model runs, and ``relu``: the model
+calls it only inside ``mlp``, but the composed reference that ``mlp`` is
+tested against and the autodiff demo are built from it. The loss's two
+primitives are one node each: ``hinge`` is the margin ranking hinge
+max(0, neg - pos + delta) and ``penalty`` the frame penalty -log 2c. The
+only operator sugar is ``@`` (matmul), and negation is ``scale(x, -1.0)``.
+Nothing in a graph draws random numbers: ``dropout`` applies a boolean
+keep-mask planned before the forward pass.
 
 Both two-layer MLPs (the proposal encoder and the attention feed-forward)
 run as one ``mlp`` node, ``relu(dropout(x W1 + b1)) W2 + b2``. It upcasts a
@@ -198,19 +202,6 @@ def add(a, b):
     return _record("add", out, (a, b), bwd)
 
 
-def sub(a, b):
-    _check_same_shape(a, b, "sub")
-    out = Tensor(a.data - b.data)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g, owned=False)
-        if b.requires_grad:
-            _accumulate(b, -g)
-
-    return _record("sub", out, (a, b), bwd)
-
-
 def mul(a, b):
     """Hadamard product."""
     _check_same_shape(a, b, "mul")
@@ -232,15 +223,6 @@ def scale(a, s):
         _accumulate(a, g * s)
 
     return _record("scale", out, (a,), bwd)
-
-
-def shift(a, c):
-    out = Tensor(a.data + c)
-
-    def bwd(g):
-        _accumulate(a, g, owned=False)
-
-    return _record("shift", out, (a,), bwd)
 
 
 def matmul(a, b):
@@ -372,25 +354,38 @@ def relu(x):
     return _record("relu", out, (x,), bwd)
 
 
-def log(x):
-    if np.any(x.data <= 0):
-        raise ValueError("log: non-positive input; clamp first (see clamp_min)")
-    out = Tensor(np.log(x.data))
+def hinge(neg, pos, delta):
+    """max(0, neg - pos + delta), the margin ranking hinge; subgradient 0 at 0."""
+    _check_same_shape(neg, pos, "hinge")
+    z = (neg.data - pos.data) + delta
+    mask = z > 0
+    out = Tensor(np.where(mask, z, 0.0))
 
     def bwd(g):
-        _accumulate(x, g / x.data)
+        gm = g * mask
+        if neg.requires_grad:
+            _accumulate(neg, gm)
+        if pos.requires_grad:
+            _accumulate(pos, -gm)
 
-    return _record("log", out, (x,), bwd)
+    return _record("hinge", out, (neg, pos), bwd)
 
 
-def clamp_min(x, floor):
-    mask = x.data > floor
-    out = Tensor(np.where(mask, x.data, floor))
+LOG_EPS = 1e-8  # sigmoid outputs cannot hit 0 analytically but can underflow
+
+
+def penalty(c):
+    """-log(max(2c, LOG_EPS)): the penalty D(c) = -log 2c of a frame weight c,
+    negative (a reward) when c > 0.5; the floor's subgradient is 0."""
+    x = c.data * 2.0
+    mask = x > LOG_EPS
+    x = np.where(mask, x, LOG_EPS)
+    out = Tensor(-np.log(x))
 
     def bwd(g):
-        _accumulate(x, g * mask)
+        _accumulate(c, -g / x * mask * 2.0)
 
-    return _record("clamp_min", out, (x,), bwd)
+    return _record("penalty", out, (c,), bwd)
 
 
 def multi_head_attention(q, k, v, heads, key_mask=None):

@@ -201,14 +201,19 @@ def checkpoint_save(path_prefix, params, config=None):
 
 
 def checkpoint_load(path_prefix):
-    """Returns ({name: float64 view of the blob}, config dict or None)."""
+    """Returns ({name: float64 view of the blob}, config dict or None).
+
+    Raises IntegrityError naming the file at fault: a manifest that does not
+    parse or whose params are not a name -> shape object, a blob of the wrong
+    size, or a parameter that holds a non-finite value.
+    """
     path_prefix = Path(path_prefix)
     json_path, bin_path = path_prefix.with_suffix(".json"), path_prefix.with_suffix(".bin")
     try:
         manifest = json.loads(json_path.read_text(encoding="utf-8"))
         shapes = {name: tuple(checked_counts(f"params.{name}", s))
                   for name, s in manifest["params"].items()}
-    except (json.JSONDecodeError, DataError, KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, DataError, KeyError, TypeError, AttributeError) as exc:
         raise IntegrityError(f"{json_path}: corrupt checkpoint manifest: {exc}") from exc
     expected = sum(int(np.prod(s)) for s in shapes.values()) * 8
     size = bin_path.stat().st_size
@@ -223,5 +228,7 @@ def checkpoint_load(path_prefix):
     for name, shape in shapes.items():
         n = int(np.prod(shape))
         out[name] = flat[offset:offset + n].reshape(shape)
+        if not np.isfinite(out[name]).all():
+            raise IntegrityError(f"{bin_path}: parameter {name} holds non-finite values")
         offset += n
     return out, manifest.get("config")

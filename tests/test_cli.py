@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from groundbox.cli import main
@@ -102,6 +103,18 @@ def test_config_refuses_non_finite_floats(field, value):
         GroundingConfig.from_dict({field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("d", 8.5), ("epochs", True), ("seed", 1.5), ("T", "5"), ("lr", "0.1"),
+    ("lam", False), ("dropout", None)])
+def test_config_refuses_values_of_the_wrong_type(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be an? (int|number), got "):
+        GroundingConfig.from_dict({field: value})
+
+
+def test_config_float_fields_take_ints():
+    assert GroundingConfig.from_dict({"lr": 1, "dropout": 0}).lr == 1
+
+
 def test_config_from_dict_names_unknown_keys():
     # a checkpoint config may carry fields this version does not have
     with pytest.raises(ConfigError, match=r"\['bogus', 'workers'\]"):
@@ -139,7 +152,7 @@ def test_cli_gen_data_seed_determinism(tmp_path, fast_cfg):
     assert (a / "features.bin").read_bytes() != (c / "features.bin").read_bytes()
 
 
-def test_cli_seed_env_var_and_flag_precedence(tmp_path, fast_cfg, monkeypatch):
+def test_cli_seed_env_var_and_flag_precedence(tmp_path, fast_cfg, monkeypatch, capsys):
     a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     monkeypatch.setenv("GROUNDBOX_SEED", "11")
     main(["gen-data", "--config", fast_cfg, "--out", str(a)])
@@ -150,6 +163,11 @@ def test_cli_seed_env_var_and_flag_precedence(tmp_path, fast_cfg, monkeypatch):
     monkeypatch.setenv("GROUNDBOX_SEED", "99")
     main(["gen-data", "--config", fast_cfg, "--seed", "11", "--out", str(c)])
     assert (c / "features.bin").read_bytes() == (b / "features.bin").read_bytes()
+    # a value that is no integer is named with its variable
+    monkeypatch.setenv("GROUNDBOX_SEED", "abc")
+    capsys.readouterr()
+    assert main(["gen-data", "--config", fast_cfg, "--out", str(tmp_path / "d")]) == 1
+    assert "GROUNDBOX_SEED: invalid literal" in capsys.readouterr().err
 
 
 def test_cli_flag_overrides_config_file(tmp_path, fast_cfg):
@@ -262,6 +280,19 @@ def test_cli_eval_load_errors_name_the_checkpoint(tmp_path, fast_cfg, capsys):
     err = eval_error(old_head_names)
     assert str(manifest_path) in err and "missing ['attn.l0.Wq']" in err
 
+    err = eval_error(lambda m: m.update(params=[]))
+    assert f"{manifest_path}: corrupt checkpoint manifest" in err
+
+    err = eval_error(lambda m: m["config"].update(d=8.5))
+    assert f"{manifest_path}: d must be an int, got 8.5" in err
+    err = eval_error(lambda m: m["config"].update(epochs=True))
+    assert f"{manifest_path}: epochs must be an int, got True" in err
+
+    blob = run / "checkpoint.bin"
+    blob.write_bytes(np.full(blob.stat().st_size // 8, np.nan).tobytes())
+    err = eval_error(lambda m: None)
+    assert f"{blob}: parameter {next(iter(manifest['params']))} holds non-finite" in err
+
 
 def test_cli_train_missing_data_exits_1(tmp_path, fast_cfg, capsys):
     code = main(["train", "--config", fast_cfg, "--data",
@@ -292,3 +323,10 @@ def test_cli_compare_mismatch_exits_1(tmp_path, capsys):
     (tmp_path / "b.json").write_text(json.dumps(b))
     assert main(["compare", "--a", str(tmp_path / "a.json"),
                  "--b", str(tmp_path / "b.json")]) == 1
+    # a report without per-class accuracies is named with the missing field
+    del b["per_class"]
+    (tmp_path / "b.json").write_text(json.dumps(b))
+    capsys.readouterr()
+    assert main(["compare", "--a", str(tmp_path / "a.json"),
+                 "--b", str(tmp_path / "b.json")]) == 1
+    assert f"{tmp_path / 'b.json'}: report lacks ['per_class']" in capsys.readouterr().err

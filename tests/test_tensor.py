@@ -186,6 +186,29 @@ def test_relu_and_subgradient_at_zero():
     assert np.allclose(x.grad, [0.0, 0.0, 1.0])
 
 
+def test_hinge_values_and_subgradient_at_zero():
+    neg = Tensor([0.2, 0.5, 0.9], requires_grad=True)
+    pos = Tensor([0.5, 0.5, 0.5], requires_grad=True)
+    with Tape():
+        out = T.hinge(neg, pos, 0.0)  # z = -0.3, 0 (the kink), 0.4
+        backward(_sum(out))
+    assert np.array_equal(out.data, [0.0, 0.0, 0.9 - 0.5])
+    assert np.array_equal(neg.grad, [0.0, 0.0, 1.0])
+    assert np.array_equal(pos.grad, [0.0, 0.0, -1.0])
+    with pytest.raises(ShapeError, match="hinge"):
+        T.hinge(Tensor([1.0]), Tensor([1.0, 2.0]), 0.1)
+
+
+def test_penalty_floor_has_zero_subgradient():
+    c = Tensor([0.0, 1e-12, 0.25], requires_grad=True)
+    with Tape():
+        out = T.penalty(c)
+        backward(_sum(out))
+    assert np.array_equal(out.data[:2], [-math.log(T.LOG_EPS)] * 2)
+    assert out.data[2] == -math.log(0.5)
+    assert np.array_equal(c.grad, [0.0, 0.0, -4.0])
+
+
 def test_max_reduce_value_index_and_onehot_grad():
     x = Tensor([[0.2, 0.9, 0.4]], requires_grad=True)
     with Tape():
@@ -218,11 +241,6 @@ def test_concat_and_split_gradients():
         backward(_sum(T.mul(c, c)))
     assert np.allclose(a.grad, 2 * a.data)
     assert np.allclose(b.grad, 2 * b.data)
-
-
-def test_log_rejects_nonpositive():
-    with pytest.raises(ValueError, match="clamp"):
-        T.log(Tensor([0.0]))
 
 
 def test_dropout_eval_mode_is_identity():
@@ -306,7 +324,7 @@ def test_finite_diff_composed_graph():
         h = T.relu(T.add_rowvec(x @ W, b))
         s = _softmax_rows(T.sigmoid(h))
         m, _ = T.max_last(s)
-        return T.mean_all(T.log(T.clamp_min(m, 1e-8)))
+        return T.mean_all(T.penalty(m))
 
     err, _ = finite_diff_check(f, {"W": W, "b": b}, step=1e-5)
     assert err < 1e-4
@@ -446,10 +464,10 @@ def test_take_repeated_indices_sum_and_unique_indices_assign():
 
 
 # Gradient property test for every op that records a tape node. Inputs keep
-# clear of the kinks of relu and clamp_min (0) and of ties in max_last, so
-# central differences are exact up to rounding; log gets positive inputs and
-# layer_norm_rows rows with spread. matmul and multi_head_attention have
-# their own property tests above.
+# clear of the kinks of relu and hinge (0) and of ties in max_last, so
+# central differences are exact up to rounding; penalty gets inputs clear of
+# its floor and layer_norm_rows rows with spread. matmul and
+# multi_head_attention have their own property tests above.
 
 def _normal(rng, shape):
     return rng.standard_normal(shape)
@@ -472,10 +490,8 @@ def _spread_rows(rng, shape):
 # op name -> (input makers, each called as maker(rng, (m, n)); op on the Tensors)
 GRAD_CASES = {
     "add": ([_normal, _normal], T.add),
-    "sub": ([_normal, _normal], T.sub),
     "mul": ([_normal, _normal], T.mul),
     "scale": ([_normal], lambda x: T.scale(x, -1.7)),
-    "shift": ([_normal], lambda x: T.shift(x, 0.3)),
     "reshape": ([_normal], lambda x: T.reshape(x, (-1,))),
     "concat": ([_normal, _normal], lambda a, b: T.concat([a, b, a], axis=1)),
     "take": ([_normal], lambda x: T.take(x, [x.data.shape[0] - 1, 0, -1])),
@@ -483,8 +499,11 @@ GRAD_CASES = {
     "sigmoid": ([_normal], T.sigmoid),
     "similarity": ([_normal, _normal], T.similarity),
     "relu": ([_off_zero], T.relu),
-    "log": ([_positive], T.log),
-    "clamp_min": ([_off_zero], lambda x: T.clamp_min(x, 0.0)),
+    # neg - pos + delta is at least 0.06 away from the kink
+    "hinge": ([lambda rng, shape: _off_zero(rng, shape) - 0.3,
+               lambda rng, shape: rng.uniform(-0.04, 0.04, shape)],
+              lambda neg, pos: T.hinge(neg, pos, 0.3)),
+    "penalty": ([_positive], T.penalty),
     "max_last": ([_spread_rows], lambda x: T.max_last(x)[0]),
     "mean_all": ([_normal], T.mean_all),
     # the last row is padding wherever there is more than one
@@ -522,7 +541,7 @@ TAKE_CASES = {
     "take_twice": ([_normal], lambda x: T.concat(
         [T.take(x, np.arange(x.shape[0])[::-1]), T.take(x, [x.shape[0] - 1, 0, -1])])),
     "take_after_pass_through": ([_normal], lambda x: T.concat(
-        [T.take(x, np.arange(x.shape[0])[::-1]), T.shift(x, 0.3)])),
+        [T.take(x, np.arange(x.shape[0])[::-1]), T.reshape(x, x.shape)])),
 }
 
 

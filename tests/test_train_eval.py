@@ -16,8 +16,9 @@ from groundbox import tensor as T
 from groundbox.cli import GRADCHECK_DEFAULTS, GRADCHECK_TOLERANCE, gradcheck_all_modes
 from groundbox.config import GroundingConfig, LossMode
 from groundbox.data import (GT_DTYPE, DataError, IntegrityError, SamplingError,
-                            SegmentSample, generate_synthetic, load_segments,
-                            save_segments)
+                            SegmentSample, disjoint_rows, generate_synthetic,
+                            label_members, load_segments, sample_frames,
+                            sample_negative_sentence, save_segments)
 from groundbox.encoders import ProposalEncoder
 from groundbox.evaluate import (EvalReport, box_accuracy, evaluate_model, iou,
                                 per_class_delta, upper_bound)
@@ -765,6 +766,35 @@ def _loss_and_grads(model, batch, noise=None):
         backward(T.mean_all(losses))
     return losses.data.copy(), {n: np.zeros_like(t.data) if t.grad is None else t.grad
                                 for n, t in params.items()}
+
+
+# the small-full benchmark shape (criterion 3's), with small splits
+SMALL_FULL = GroundingConfig(d=32, D_in=16, V=20, N=10, T=5, T_prime=5, sigma=0.1,
+                             lr=2.0, train_segments=40, val_segments=4,
+                             test_segments=4, seed=3)
+
+
+@pytest.mark.parametrize("mode, nodes", [("dvsa", 25), ("loss-weight", 28),
+                                         ("obj-interact", 63), ("full", 65)])
+def test_tape_nodes_per_planned_batch(mode, nodes):
+    # one node per hinge and per penalty; the counts do not depend on the
+    # batch's size or content
+    config = SMALL_FULL.replace(mode=mode)
+    rng = np.random.default_rng(config.seed)
+    _, splits = generate_synthetic(config)
+    pool = splits["train"]
+    members = label_members(pool)
+    model = GroundingModel(config, rng)
+    batch, noise = [], []
+    for seg in pool[:config.batch]:
+        rows = disjoint_rows(pool, members, seg)
+        batch.append((seg, [sample_negative_sentence(pool, seg, rng, rows)],
+                      [sample_negative_sentence(pool, seg, rng, rows).query_labels],
+                      sample_frames(seg.n_frames, config.T, "train", rng)))
+        noise.append(model.draw_dropout(seg, 1, config.T, rng))
+    with Tape() as tape:
+        backward(T.mean_all(model.segment_loss(batch, noise)))
+    assert len(tape.nodes) == nodes
 
 
 @settings(max_examples=25, deadline=None)
