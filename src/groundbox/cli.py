@@ -154,7 +154,9 @@ def gradcheck_all_modes(config=None, step=1e-5):
     eval-mode frame sampling. The loss is the mean over a batch of two
     segments with different query counts: the first train segment cut to
     one query and the second train segment whole. Both take the next
-    ``negatives`` train segments as visual negatives.
+    ``negatives`` train segments as visual negatives, and as sentence
+    negatives ``negatives`` lists of up to O labels they do not hold, the
+    j-th from the j-th such label on.
     """
     from .config import LossMode
 
@@ -171,11 +173,12 @@ def gradcheck_all_modes(config=None, step=1e-5):
         model = GroundingModel(cfg, rng)
         batch = []
         for seg in segs:
-            neg_labels = [lab for lab in range(cfg.V)
-                          if lab not in seg.query_labels][: len(seg.query_labels)]
+            others = [lab for lab in range(cfg.V) if lab not in seg.query_labels]
+            neg_labels = [others[j % len(others):][: len(seg.query_labels)]
+                          for j in range(cfg.negatives)]
             frame_indices = list(range(min(cfg.T, seg.n_frames)))
             frame_indices += [frame_indices[-1]] * (cfg.T - len(frame_indices))
-            batch.append((seg, negs, [neg_labels], frame_indices))
+            batch.append((seg, negs, neg_labels, frame_indices))
 
         def f():
             return T.mean_all(model.segment_loss(batch))

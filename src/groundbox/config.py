@@ -114,6 +114,8 @@ class GroundingConfig:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ConfigError(f"config must be an object of fields, got {d!r}")
         unknown = sorted(set(d) - set(_FIELD_TYPES))
         if unknown:
             raise ConfigError(f"unknown config keys {unknown}")

@@ -31,7 +31,7 @@ class QueryEncoder:
         if idx.min() < 0 or idx.max() >= self.V:
             raise VocabularyError(
                 f"label index out of range [0, {self.V}): {label_indices}")
-        return T.take(self.W, idx)  # (O, d)
+        return T.take(self.W, idx)  # idx.shape + (d,)
 
     def params(self, prefix="query"):
         return {f"{prefix}.W": self.W}

@@ -42,6 +42,11 @@ class EvalReport:
         missing = [key for key in ("per_class", "macro_accuracy") if key not in d]
         if missing:
             raise ValueError(f"{path}: report lacks {missing}")
+        if not isinstance(d["per_class"], dict):
+            raise ValueError(f"{path}: per_class is not an object")
+        for label, entry in d["per_class"].items():
+            if not isinstance(entry, dict) or "acc" not in entry:
+                raise ValueError(f"{path}: per_class entry {label!r} has no \"acc\"")
         return cls(per_class=d["per_class"], macro_accuracy=d["macro_accuracy"],
                    upper_bound=d.get("upper_bound")), d
 

@@ -6,13 +6,15 @@ sigmoid(q_k . r_i^t / sqrt(d)). A frame's matching score C_t is the mean over
 queries of the best proposal similarity; the segment-level variant takes
 the max over all (t, i) jointly.
 
-Every quantity may carry leading axes that index the segments of a
-minibatch; the query counts of those segments are padded to one O, and a
-(..., O) mask keeps padded queries out of every mean over queries.
+One block holds every pairing of a minibatch: along axis 0 the positive,
+the K visual negatives (other proposals, same queries), then the K' sentence
+negatives (other queries, same proposals). The next axes index segments;
+their query counts are padded to one O, and a (..., O) mask keeps padded
+queries out of every mean over queries.
 
 The three weighted modes share one loss, mean_t[lam * w_t * L_rank^t +
 (1-lam) * D(w_t)] with D(w) = -log(2w), and differ only in the frame weight
-w_t: C_t, C_lang^{t_s}, or their mean.
+w_t: the positive's C_t, C_lang^{t_s}, or their mean.
 """
 
 import math
@@ -22,46 +24,31 @@ import numpy as np
 from . import tensor as T
 from .tensor import ShapeError, Tensor
 
-class SimilarityCube:
-    """a[..., k, t, i] in (0,1) for O queries, T frames, N proposals per frame.
 
-    Leading axes index segments. mask: (..., O) booleans marking the real
-    queries of each segment, or None when every query is real; padded
-    queries count in no mean over queries.
-    """
-
-    def __init__(self, a, mask=None):
-        self.a = a            # Tensor (..., O, T, N)
-        self.mask = mask
-        self.O, self.T, self.N = a.data.shape[-3:]
-        self._frame_scores = None
-
-    def frame_scores(self):
-        """C_t = (1/O) sum_k max_i a[k,t,i] for every frame, a (..., T) tensor."""
-        if self._frame_scores is None:
-            frame_max, _ = T.max_last(self.a)          # (..., O, T)
-            self._frame_scores = T.masked_mean(
-                frame_max, -2, None if self.mask is None else self.mask[..., None])
-        return self._frame_scores
-
-    def segment_score(self):
-        """Segment-level matching score: mean_k max_{t,i} a[k,t,i], shape (...)."""
-        flat = T.reshape(self.a, self.a.data.shape[:-2] + (self.T * self.N,))
-        best, _ = T.max_last(flat)                     # (..., O)
-        return T.masked_mean(best, -1, self.mask)
-
-
-def similarity_cube(Q, P, n_frames, mask=None):
-    """Q: (..., O, d) Tensor; P: (..., n_frames*N, d) Tensor holding the
-    proposals of n_frames frames, frame-major, N per frame; mask: (..., O)
-    real-query booleans or None -> SimilarityCube of shape (..., O, n_frames, N).
+def similarity_cube(Q, P, n_frames):
+    """Q: (1+K', ..., O, d) query blocks; P: (1+K, ..., n_frames*N, d) proposal
+    blocks, frame-major, N per frame -> a[j, ..., k, t, i] in (0,1) of shape
+    (1+K+K', ..., O, n_frames, N), pairings laid out as T.similarity's.
     """
     rows = P.data.shape[-2]
     if n_frames < 1 or rows % n_frames:
         raise ShapeError(f"{rows} proposal rows do not split into {n_frames} frames")
     a = T.similarity(Q, P)                             # (..., O, rows)
-    return SimilarityCube(T.reshape(a, a.data.shape[:-1] + (n_frames, rows // n_frames)),
-                          mask)
+    return T.reshape(a, a.data.shape[:-1] + (n_frames, rows // n_frames))
+
+
+def frame_scores(a, mask=None):
+    """C_t = (1/O) sum_k max_i a[..., k, t, i] for every frame, a (..., T) tensor;
+    mask: (..., O) real-query booleans, or None when every query is real."""
+    frame_max, _ = T.max_last(a)                       # (..., O, T)
+    return T.masked_mean(frame_max, -2, None if mask is None else mask[..., None])
+
+
+def segment_score(a, mask=None):
+    """Segment-level matching score: mean_k max_{t,i} a[..., k, t, i], shape (...)."""
+    flat = T.reshape(a, a.data.shape[:-2] + (a.data.shape[-2] * a.data.shape[-1],))
+    best, _ = T.max_last(flat)                         # (..., O)
+    return T.masked_mean(best, -1, mask)
 
 
 def penalty(c):
@@ -69,36 +56,15 @@ def penalty(c):
     return T.penalty(c if isinstance(c, Tensor) else Tensor(c))
 
 
-def _hinge_sum(cube_pos, vis_neg_cubes, sent_neg_cubes, delta, score):
-    """sum over both negative kinds of max(0, score(neg) - score(pos) + delta)."""
-    if not vis_neg_cubes or not sent_neg_cubes:
-        raise ShapeError("the margin loss needs >= 1 negative of each kind")
-    s_pos = score(cube_pos)
-    total = None
-    for neg in [*vis_neg_cubes, *sent_neg_cubes]:
-        term = T.hinge(score(neg), s_pos, delta)
-        total = term if total is None else T.add(total, term)
-    return total
+def frame_ranking_loss(c, delta):
+    """Per-frame margin loss (..., T): sum over the negatives of
+    max(0, C_neg - C_pos + delta), from frame scores c of shape (1+K+K', ..., T)."""
+    return T.hinge(c, delta)
 
 
-def frame_ranking_loss(cube_pos, vis_neg_cubes, sent_neg_cubes, delta):
-    """Per-frame margin loss (..., T), summed over both negative kinds.
-
-    Visual negatives share the query set; sentence negatives share the
-    positive frames. Hinge: max(0, S_neg - S_pos + delta) per pairing.
-    """
-    for neg in [*vis_neg_cubes, *sent_neg_cubes]:
-        if neg.T != cube_pos.T:
-            raise ShapeError(
-                f"negative has {neg.T} frames, positive has {cube_pos.T}")
-    return _hinge_sum(cube_pos, vis_neg_cubes, sent_neg_cubes, delta,
-                      SimilarityCube.frame_scores)
-
-
-def dvsa_segment_loss(cube_pos, vis_neg_cubes, sent_neg_cubes, delta):
-    """Segment-level margin loss (...,): the max runs over (t, i) jointly."""
-    return _hinge_sum(cube_pos, vis_neg_cubes, sent_neg_cubes, delta,
-                      SimilarityCube.segment_score)
+def dvsa_segment_loss(s, delta):
+    """Segment-level margin loss (...,) from segment scores s of shape (1+K+K', ...)."""
+    return T.hinge(s, delta)
 
 
 def _frame_weighted_loss(w, rank_vec, lam):
@@ -107,21 +73,21 @@ def _frame_weighted_loss(w, rank_vec, lam):
                                T.scale(penalty(w), 1.0 - lam)), -1)
 
 
-def weighted_segment_loss(cube, rank_vec, lam):
-    """Loss-weighting mode: frame weight w_t = C_t."""
-    return _frame_weighted_loss(cube.frame_scores(), rank_vec, lam)
+def weighted_segment_loss(c, rank_vec, lam):
+    """Loss-weighting mode: frame weight w_t = C_t, the positive's frame scores."""
+    return _frame_weighted_loss(c, rank_vec, lam)
 
 
-def language_weighted_segment_loss(cube, rank_vec, c_lang, lam):
+def language_weighted_segment_loss(rank_vec, c_lang, lam):
     """Object-interaction mode: frame weight w_t = C_lang^{t_s}."""
-    return _frame_weighted_loss(_per_frame(c_lang, cube.T), rank_vec, lam)
+    return _frame_weighted_loss(_per_frame(c_lang, rank_vec.data.shape[-1]), rank_vec, lam)
 
 
-def combined_segment_loss(cube, rank_vec, c_lang, lam):
+def combined_segment_loss(c, rank_vec, c_lang, lam):
     """Full model: frame weight w_t = (C_t + C_lang^{t_s}) / 2, so the penalty
     is -log(C_t + C_lang^{t_s}) as printed.
     """
-    w = T.scale(T.add(cube.frame_scores(), _per_frame(c_lang, cube.T)), 0.5)
+    w = T.scale(T.add(c, _per_frame(c_lang, c.data.shape[-1])), 0.5)
     return _frame_weighted_loss(w, rank_vec, lam)
 
 

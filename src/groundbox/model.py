@@ -69,38 +69,37 @@ class GroundingModel:
                for f, v, s in zip(frames, neg_visual, neg_sentences)):
             raise ShapeError("every item of a batch needs the same number of frames "
                              "and of each negative kind")
-        Q, mask = self._queries([seg.query_labels for seg in segments])
+        if not n_vis or not n_sent:
+            raise ShapeError("the margin loss needs >= 1 negative of each kind")
+        Q, mask = self._queries([[seg.query_labels for seg in segments]] +
+                                [[s[j] for s in neg_sentences] for j in range(n_sent)])
         # block-major: every segment's positive block, then every segment's
         # first visual negative, ...
         blocks = list(zip(segments, frames)) + [
             (negs[j], [min(f, negs[j].n_frames - 1) for f in fr])
             for j in range(n_vis) for negs, fr in zip(neg_visual, frames)]
-        keep = self._batch_noise(noise, n_vis, mask)
+        keep = self._batch_noise(noise, n_vis, mask[0])
         encoded = self.prop_enc.encode(stack_features(blocks), keep[0] if keep else None)
         B, d = len(batch), encoded.data.shape[1]
         P = T.reshape(encoded, (1 + n_vis, B, encoded.data.shape[0] // len(blocks), d))
-        pos, *vis = [T.take(P, j) for j in range(1 + n_vis)]    # (B, T*N, d) each
-        cube_pos = G.similarity_cube(Q, pos, Tn, mask)
-        vis_cubes = [G.similarity_cube(Q, P_j, Tn, mask) for P_j in vis]
-        sent_cubes = []
-        for j in range(n_sent):
-            Q_neg, neg_mask = self._queries([s[j] for s in neg_sentences])
-            sent_cubes.append(G.similarity_cube(Q_neg, pos, Tn, neg_mask))
+        a = G.similarity_cube(Q, P, Tn)                 # (1+K+K', B, O, T, N)
+        # the positive and visual pairings score Q[0], sentence negative j Q[j]
+        pair_mask = mask[[0] * (1 + n_vis) + list(range(1, 1 + n_sent))]
 
         if mode is LossMode.DVSA:
-            return G.dvsa_segment_loss(cube_pos, vis_cubes, sent_cubes, cfg.delta)
+            return G.dvsa_segment_loss(G.segment_score(a, pair_mask), cfg.delta)
 
-        rank_vec = G.frame_ranking_loss(cube_pos, vis_cubes, sent_cubes, cfg.delta)
+        c = G.frame_scores(a, pair_mask)                # (1+K+K', B, T)
+        rank_vec = G.frame_ranking_loss(c, cfg.delta)
         if mode is LossMode.LOSS_WEIGHTING:
-            return G.weighted_segment_loss(cube_pos, rank_vec, cfg.lam)
+            return G.weighted_segment_loss(T.take(c, 0), rank_vec, cfg.lam)
 
-        rows = T.reshape(Q, (-1, d))                    # (B*O, d), row-wise layers
-        J = self.attn.forward(rows, mask, keep[1:])
-        c_lang = G.language_confidence(J, rows, self.lang_W, self.lang_b, mask)
+        rows = T.reshape(T.take(Q, 0), (-1, d))         # (B*O, d), row-wise layers
+        J = self.attn.forward(rows, mask[0], keep[1:])
+        c_lang = G.language_confidence(J, rows, self.lang_W, self.lang_b, mask[0])
         if mode is LossMode.OBJECT_INTERACTION:
-            return G.language_weighted_segment_loss(cube_pos, rank_vec, c_lang,
-                                                    cfg.lam)
-        return G.combined_segment_loss(cube_pos, rank_vec, c_lang, cfg.lam)
+            return G.language_weighted_segment_loss(rank_vec, c_lang, cfg.lam)
+        return G.combined_segment_loss(T.take(c, 0), rank_vec, c_lang, cfg.lam)
 
     def draw_dropout(self, segment, n_vis, n_frames, rng):
         """The dropout keep-masks of one training item, as booleans.
@@ -136,15 +135,17 @@ class GroundingModel:
             out.append(rows.reshape(B * O, -1))
         return out
 
-    def _queries(self, label_lists):
-        """Query embeddings of B label lists padded to the longest, (B, O, d),
-        and the (B, O) mask of the real ones."""
-        counts = [len(labels) for labels in label_lists]
-        if not all(counts):
+    def _queries(self, blocks):
+        """Query embeddings of blocks of B label lists each, every list padded
+        to the longest of all, from one lookup: (len(blocks), B, O, d), and
+        the (len(blocks), B, O) mask of the real ones."""
+        counts = [[len(labels) for labels in block] for block in blocks]
+        if not all(map(all, counts)):
             raise VocabularyError("encode_query: empty label list")
-        O = max(counts)
-        idx = [list(labels) + [0] * (O - len(labels)) for labels in label_lists]
-        return self.query_enc.encode(idx), np.arange(O) < np.array(counts)[:, None]
+        O = max(map(max, counts))
+        idx = [[list(labels) + [0] * (O - len(labels)) for labels in block]
+               for block in blocks]
+        return self.query_enc.encode(idx), np.arange(O) < np.array(counts)[..., None]
 
     # ------------------------------------------------------------------
     # inference
@@ -170,14 +171,14 @@ class GroundingModel:
         counts = np.array([len(f) for f in frames]) * N      # proposal rows per segment
         width = counts.max()
         with no_grad():
-            Q, mask = self._queries([seg.query_labels for seg in segments])
+            Q, _ = self._queries([[seg.query_labels for seg in segments]])
             encoded = self.prop_enc.encode(stack_features(zip(segments, frames))).data
-            P = np.zeros((len(segments), width, encoded.shape[1]))
-            P[np.arange(width) < counts[:, None]] = encoded
-            cube = G.similarity_cube(Q, Tensor(P), width // N, mask)
+            P = np.zeros((1, len(segments), width, encoded.shape[1]))
+            P[0, np.arange(width) < counts[:, None]] = encoded
+            a = G.similarity_cube(Q, Tensor(P), width // N).data[0]
         # (B, O, F_max); padding is whole frames, so np.argmax still takes
         # the lowest index on ties
-        pick = np.argmax(cube.a.data, axis=-1)
+        pick = np.argmax(a, axis=-1)
         out = []
         for seg, f, p in zip(segments, frames, pick):
             picks = np.full((len(seg.query_labels), seg.n_frames), -1, dtype=np.intp)

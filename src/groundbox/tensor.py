@@ -8,11 +8,11 @@ once in reverse and accumulates gradients into every tensor that requires
 them. The 20 ops are the ones the model runs, and ``relu``: the model
 calls it only inside ``mlp``, but the composed reference that ``mlp`` is
 tested against and the autodiff demo are built from it. The loss's two
-primitives are one node each: ``hinge`` is the margin ranking hinge
-max(0, neg - pos + delta) and ``penalty`` the frame penalty -log 2c. The
-only operator sugar is ``@`` (matmul), and negation is ``scale(x, -1.0)``.
-Nothing in a graph draws random numbers: ``dropout`` applies a boolean
-keep-mask planned before the forward pass.
+primitives are one node each: ``hinge`` sums the margin ranking hinge
+max(0, neg - pos + delta) over a negatives axis and ``penalty`` is the frame
+penalty -log 2c. The only operator sugar is ``@`` (matmul), and negation is
+``scale(x, -1.0)``. Nothing in a graph draws random numbers: ``dropout``
+applies a boolean keep-mask planned before the forward pass.
 
 Both two-layer MLPs (the proposal encoder and the attention feed-forward)
 run as one ``mlp`` node, ``relu(dropout(x W1 + b1)) W2 + b2``. It upcasts a
@@ -22,11 +22,11 @@ loss scores a (query, frame) by its best proposal, so most proposal rows
 carry none.
 
 A minibatch runs as one graph. ``matmul`` stays 2-D, so row-wise layers
-see the batch as stacked rows; ``similarity`` and ``multi_head_attention``
-take a leading batch axis (the attention op as B stacked sequences), and
-ragged query counts are padded: ``masked_mean`` averages over the real
-entries only and the attention op's key mask gives padded keys zero
-weight, so padding changes neither a value nor an adjoint.
+see the batch as stacked rows; ``multi_head_attention`` takes B stacked
+sequences, and ``similarity`` scores every pairing of the margin loss over
+a batch axis at once. Ragged query counts are padded: ``masked_mean``
+averages over the real entries only and the attention op's key mask gives
+padded keys zero weight, so padding changes neither a value nor an adjoint.
 
 The active tape is per context (a ``contextvars.ContextVar``): a ``Tape``
 or ``no_grad`` entered in one thread leaves recording in every other
@@ -322,24 +322,36 @@ def sigmoid(x):
 
 
 def similarity(q, p):
-    """sigmoid(q p^T / sqrt(d)) for every leading index, as one tape node.
+    """sigmoid(q p^T / sqrt(d)) for every pairing of the margin loss, as one node.
 
-    q: (..., m, d), p: (..., n, d) with the same leading shape -> (..., m, n).
+    q: (1+K', ..., m, d) positive then sentence-negative queries, p: (1+K,
+    ..., n, d) positive then visual-negative proposals -> (1+K+K', ..., m, n):
+    q[0] against each p[j], then each q[j>0] against p[0]. An adjoint that
+    sums over pairings adds them from last to first.
     """
-    if (q.data.ndim < 2 or q.data.shape[:-2] != p.data.shape[:-2]
+    if (q.data.ndim < 3 or q.data.ndim != p.data.ndim
+            or q.data.shape[1:-2] != p.data.shape[1:-2]
             or q.data.shape[-1] != p.data.shape[-1]):
         raise ShapeError(f"similarity: shapes {q.data.shape} and {p.data.shape} "
                          "do not pair")
+    K = p.data.shape[0] - 1
     s = 1.0 / math.sqrt(q.data.shape[-1])
-    y = _sigmoid((q.data @ p.data.swapaxes(-1, -2)) * s)
+    pt = p.data.swapaxes(-1, -2)
+    y = _sigmoid(np.concatenate([q.data[:1] @ pt, q.data[1:] @ pt[:1]]) * s)
     out = Tensor(y)
 
     def bwd(g):
         gz = g * y * (1.0 - y) * s
+        g_vis, g_sent = gz[:K + 1], gz[K + 1:]      # q[0]'s pairings, q[j>0]'s
         if q.requires_grad:
-            _accumulate(q, gz @ p.data)
+            gq = np.empty_like(q.data)
+            gq[0] = (g_vis @ p.data)[::-1].sum(axis=0)
+            gq[1:] = g_sent @ p.data[:1]
+            _accumulate(q, gq)
         if p.requires_grad:
-            _accumulate(p, gz.swapaxes(-1, -2) @ q.data)
+            gp = g_vis.swapaxes(-1, -2) @ q.data[:1]
+            gp[0] += (g_sent.swapaxes(-1, -2) @ q.data[1:])[::-1].sum(axis=0)
+            _accumulate(p, gp)
 
     return _record("similarity", out, (q, p), bwd)
 
@@ -354,21 +366,24 @@ def relu(x):
     return _record("relu", out, (x,), bwd)
 
 
-def hinge(neg, pos, delta):
-    """max(0, neg - pos + delta), the margin ranking hinge; subgradient 0 at 0."""
-    _check_same_shape(neg, pos, "hinge")
-    z = (neg.data - pos.data) + delta
+def hinge(s, delta):
+    """sum_{j>0} max(0, s[j] - s[0] + delta), in order: the margin ranking hinge
+    of each negative's score against the positive's s[0]; subgradient 0 at 0."""
+    if s.data.ndim < 1 or s.data.shape[0] < 2:
+        raise ShapeError(f"hinge: scores of shape {s.data.shape} hold no negative "
+                         "after the positive")
+    z = (s.data[1:] - s.data[0]) + delta
     mask = z > 0
-    out = Tensor(np.where(mask, z, 0.0))
+    out = Tensor(np.where(mask, z, 0.0).sum(axis=0))
 
     def bwd(g):
         gm = g * mask
-        if neg.requires_grad:
-            _accumulate(neg, gm)
-        if pos.requires_grad:
-            _accumulate(pos, -gm)
+        gs = np.empty_like(s.data)
+        gs[0] = -gm[::-1].sum(axis=0)
+        gs[1:] = gm
+        _accumulate(s, gs)
 
-    return _record("hinge", out, (neg, pos), bwd)
+    return _record("hinge", out, (s,), bwd)
 
 
 LOG_EPS = 1e-8  # sigmoid outputs cannot hit 0 analytically but can underflow

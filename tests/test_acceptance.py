@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from groundbox import grounding as G
+from groundbox import tensor as T
 from groundbox.attention import MultiHeadAttentionStack, scaled_dot_attention
 from groundbox.cli import GRADCHECK_TOLERANCE, gradcheck_all_modes
 from groundbox.config import GroundingConfig, LossMode
@@ -25,9 +26,9 @@ from groundbox.tensor import Tensor
 from groundbox.train import train
 
 
-def _cube(values):
-    a = np.asarray(values, dtype=np.float64)
-    return G.SimilarityCube(Tensor(a))
+def _frame_scores(*pairings):
+    """C_t of (O, T, N) scores, one row per pairing: the positive, then each negative."""
+    return G.frame_scores(Tensor(np.asarray(pairings, dtype=np.float64)))
 
 
 # --------------------------------------------------------------------------
@@ -50,12 +51,13 @@ def test_criterion_2_formula_unit_suite(verdict):
 
     # ranking-loss worked example: S_pos=0.9, visual neg 0.5, sentence neg
     # 0.85, margin 0.1 -> 0 + 0.05
-    rank = G.frame_ranking_loss(_cube([[[0.9]]]), [_cube([[[0.5]]])],
-                                [_cube([[[0.85]]])], delta=0.1)
+    rank = G.frame_ranking_loss(_frame_scores([[[0.9]]], [[[0.5]]], [[[0.85]]]),
+                                delta=0.1)
     checks.append(bool(abs(rank.data[0] - 0.05) <= 1e-12))
 
     # weighted-loss worked example: T=1, C=0.5, L_rank=0.05, lam=0.9 -> 0.0225
-    weighted = G.weighted_segment_loss(_cube([[[0.5]]]), Tensor([0.05]), 0.9)
+    weighted = G.weighted_segment_loss(T.take(_frame_scores([[[0.5]]]), 0),
+                                       Tensor([0.05]), 0.9)
     checks.append(abs(weighted.item() - 0.0225) <= 1e-12)
 
     table = [G.snippet_index(t, 20, 5) for t in range(1, 21)]

@@ -287,6 +287,9 @@ def test_cli_eval_load_errors_name_the_checkpoint(tmp_path, fast_cfg, capsys):
     assert f"{manifest_path}: d must be an int, got 8.5" in err
     err = eval_error(lambda m: m["config"].update(epochs=True))
     assert f"{manifest_path}: epochs must be an int, got True" in err
+    for config in ([], "d"):
+        err = eval_error(lambda m: m.update(config=config))
+        assert f"{manifest_path}: config must be an object of fields, got {config!r}" in err
 
     blob = run / "checkpoint.bin"
     blob.write_bytes(np.full(blob.stat().st_size // 8, np.nan).tobytes())
@@ -330,3 +333,11 @@ def test_cli_compare_mismatch_exits_1(tmp_path, capsys):
     assert main(["compare", "--a", str(tmp_path / "a.json"),
                  "--b", str(tmp_path / "b.json")]) == 1
     assert f"{tmp_path / 'b.json'}: report lacks ['per_class']" in capsys.readouterr().err
+    # so is a class without an accuracy
+    for per_class, want in (({"x": {"n": 1}}, "per_class entry 'x' has no \"acc\""),
+                            ({"x": 0.5}, "per_class entry 'x' has no \"acc\""),
+                            ([], "per_class is not an object")):
+        (tmp_path / "b.json").write_text(json.dumps(dict(a, per_class=per_class)))
+        assert main(["compare", "--a", str(tmp_path / "a.json"),
+                     "--b", str(tmp_path / "b.json")]) == 1
+        assert f"{tmp_path / 'b.json'}: {want}" in capsys.readouterr().err

@@ -6,42 +6,67 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from groundbox import grounding as G
+from groundbox import tensor as T
 from groundbox.gradcheck import finite_diff_check
 from groundbox.tensor import ShapeError, Tensor
 
 
-def _cube(values):
-    """Build a SimilarityCube directly from an (O, T, N) array of scores."""
-    a = np.asarray(values, dtype=np.float64)
-    return G.SimilarityCube(Tensor(a))
+def _cube(*pairings):
+    """A (P, O, T, N) score block from the (O, T, N) arrays of P pairings:
+    the positive, then each negative."""
+    return Tensor(np.asarray(pairings, dtype=np.float64))
+
+
+def _frame_scores(values):
+    """C_t of one pairing's (O, T, N) scores, a (T,) tensor."""
+    return T.take(G.frame_scores(_cube(values)), 0)
 
 
 def test_similarity_cube_matches_sigmoid_of_scaled_dots():
     rng = np.random.default_rng(0)
     d = 4
-    Q = Tensor(rng.standard_normal((2, d)))
-    P = Tensor(rng.standard_normal((5 * 3, d)))  # 5 frames of 3 proposals
-    cube = G.similarity_cube(Q, P, 5)
-    assert cube.a.shape == (2, 5, 3)
-    want = 1.0 / (1.0 + np.exp(-(Q.data @ P.data[3:6].T) / math.sqrt(d)))
-    assert np.allclose(cube.a.data[:, 1, :], want)
-    assert np.all(cube.a.data > 0) and np.all(cube.a.data < 1)
+    Q = Tensor(rng.standard_normal((1, 2, d)))
+    P = Tensor(rng.standard_normal((1, 5 * 3, d)))  # 5 frames of 3 proposals
+    a = G.similarity_cube(Q, P, 5)
+    assert a.shape == (1, 2, 5, 3)
+    want = 1.0 / (1.0 + np.exp(-(Q.data[0] @ P.data[0, 3:6].T) / math.sqrt(d)))
+    assert np.allclose(a.data[0, :, 1, :], want)
+    assert np.all(a.data > 0) and np.all(a.data < 1)
+
+
+def test_similarity_cube_stacks_positive_then_visual_then_sentence_pairings():
+    rng = np.random.default_rng(5)
+    Q = Tensor(rng.standard_normal((3, 2, 4)))      # positive + 2 sentence negatives
+    P = Tensor(rng.standard_normal((2, 2 * 3, 4)))  # positive + 1 visual negative
+    a = G.similarity_cube(Q, P, 2)
+    assert a.shape == (4, 2, 2, 3)
+    for j, (q, p) in enumerate([(0, 0), (0, 1), (1, 0), (2, 0)]):
+        alone = G.similarity_cube(Tensor(Q.data[q:q + 1]), Tensor(P.data[p:p + 1]), 2)
+        assert np.array_equal(a.data[j], alone.data[0])
 
 
 def test_similarity_cube_rejects_rows_that_do_not_split_into_frames():
     with pytest.raises(ShapeError, match="7 proposal rows"):
-        G.similarity_cube(Tensor(np.zeros((1, 2))), Tensor(np.zeros((7, 2))), 3)
+        G.similarity_cube(Tensor(np.zeros((1, 1, 2))), Tensor(np.zeros((1, 7, 2))), 3)
 
 
 def test_frame_matching_score_mean_of_maxes():
     # two queries, one frame: maxes 0.9 and 0.5 -> C = 0.7
-    cube = _cube([[[0.1, 0.9]], [[0.5, 0.2]]])
-    assert abs(cube.frame_scores().data[0] - 0.7) < 1e-12
+    c = _frame_scores([[[0.1, 0.9]], [[0.5, 0.2]]])
+    assert abs(c.data[0] - 0.7) < 1e-12
 
 
 def test_segment_score_max_over_frames_and_proposals():
-    cube = _cube([[[0.1, 0.3], [0.8, 0.2]]])  # O=1, T=2, N=2
-    assert abs(cube.segment_score().item() - 0.8) < 1e-12
+    s = G.segment_score(_cube([[[0.1, 0.3], [0.8, 0.2]]]))  # O=1, T=2, N=2
+    assert abs(s.data[0] - 0.8) < 1e-12
+
+
+def test_scores_leave_padded_queries_out():
+    # query 1 of the second pairing is padding: its 0.99 counts nowhere
+    a = _cube([[[0.6]], [[0.2]]], [[[0.4]], [[0.99]]])
+    mask = np.array([[True, True], [True, False]])
+    assert np.allclose(G.frame_scores(a, mask).data, [[0.4], [0.4]])
+    assert np.allclose(G.segment_score(a, mask).data, [0.4, 0.4])
 
 
 def test_penalty_fixed_points():
@@ -66,49 +91,30 @@ def test_penalty_clamps_instead_of_exploding():
 def test_frame_ranking_loss_hand_example():
     # S_pos = 0.9, one visual neg 0.5 (inactive), one sentence neg 0.85:
     # max(0, .5-.9+.1) + max(0, .85-.9+.1) = 0 + 0.05
-    pos = _cube([[[0.9]]])
-    vneg = _cube([[[0.5]]])
-    sneg = _cube([[[0.85]]])
-    out = G.frame_ranking_loss(pos, [vneg], [sneg], delta=0.1)
+    c = G.frame_scores(_cube([[[0.9]]], [[[0.5]]], [[[0.85]]]))
+    out = G.frame_ranking_loss(c, delta=0.1)
     assert out.shape == (1,)
     assert abs(out.data[0] - 0.05) < 1e-12
 
 
-def test_frame_ranking_loss_needs_both_negative_kinds():
-    pos = _cube([[[0.9]]])
-    neg = _cube([[[0.5]]])
-    with pytest.raises(ShapeError):
-        G.frame_ranking_loss(pos, [], [neg], delta=0.1)
-    with pytest.raises(ShapeError):
-        G.frame_ranking_loss(pos, [neg], [], delta=0.1)
-
-
-def test_frame_ranking_loss_rejects_frame_count_mismatch():
-    pos = _cube([[[0.9], [0.8]]])
-    neg = _cube([[[0.5]]])
-    with pytest.raises(ShapeError):
-        G.frame_ranking_loss(pos, [neg], [neg], delta=0.1)
-
-
 def test_frame_ranking_loss_nonnegative_and_zero_when_dominated():
-    pos = _cube([[[0.99]]])
-    neg = _cube([[[0.01]]])
-    out = G.frame_ranking_loss(pos, [neg], [neg], delta=0.1)
+    c = G.frame_scores(_cube([[[0.99]]], [[[0.01]]], [[[0.01]]]))
+    out = G.frame_ranking_loss(c, delta=0.1)
     assert out.data[0] == 0.0
 
 
 def test_weighted_segment_loss_hand_example():
     # T=1, C=0.5 (penalty 0), L_rank=0.05, lam=0.9 -> 0.9*0.5*0.05 = 0.0225
-    cube = _cube([[[0.5, 0.3]]])
+    c = _frame_scores([[[0.5, 0.3]]])
     rank = Tensor([0.05])
-    assert abs(G.weighted_segment_loss(cube, rank, 0.9).item() - 0.0225) < 1e-12
+    assert abs(G.weighted_segment_loss(c, rank, 0.9).item() - 0.0225) < 1e-12
 
 
 def test_weighted_segment_loss_averages_over_frames():
-    cube = _cube([[[0.5], [0.5]]])  # two frames, both C=0.5
+    c = _frame_scores([[[0.5], [0.5]]])  # two frames, both C=0.5
     rank = Tensor([0.1, 0.3])
     want = 0.5 * (0.9 * 0.5 * 0.1 + 0.9 * 0.5 * 0.3)
-    assert abs(G.weighted_segment_loss(cube, rank, 0.9).item() - want) < 1e-12
+    assert abs(G.weighted_segment_loss(c, rank, 0.9).item() - want) < 1e-12
 
 
 def test_language_confidence_shape_and_range():
@@ -180,8 +186,8 @@ def test_snippet_index_rejects_bad_args():
 def test_combined_segment_loss_hand_example():
     # T=1, lam=0.9, C=0.6, C_lang=0.4, L_rank=0.1:
     # 0.9 * 0.5*(0.6+0.4) * 0.1 - 0.1 * log(1.0) = 0.045
-    cube = _cube([[[0.6, 0.2]]])
-    out = G.combined_segment_loss(cube, Tensor([0.1]), Tensor([0.4]), 0.9)
+    c = _frame_scores([[[0.6, 0.2]]])
+    out = G.combined_segment_loss(c, Tensor([0.1]), Tensor([0.4]), 0.9)
     assert abs(out.item() - 0.045) < 1e-12
 
 
@@ -194,8 +200,8 @@ def test_combined_segment_loss_matches_printed_formula(Tn, data):
     c = data.draw(st.lists(conf, min_size=Tn, max_size=Tn))
     c_lang = data.draw(st.lists(conf, min_size=Tp, max_size=Tp))
     rank = data.draw(st.lists(st.floats(0.0, 2.0), min_size=Tn, max_size=Tn))
-    cube = _cube([[[ct] for ct in c]])  # O=1, N=1: C_t = c[t-1]
-    out = G.combined_segment_loss(cube, Tensor(rank), Tensor(c_lang), lam)
+    ct = _frame_scores([[[ct] for ct in c]])  # O=1, N=1: C_t = c[t-1]
+    out = G.combined_segment_loss(ct, Tensor(rank), Tensor(c_lang), lam)
     want = 0.0
     for t in range(1, Tn + 1):
         s = c[t - 1] + c_lang[G.snippet_index(t, Tn, Tp) - 1]
@@ -205,41 +211,37 @@ def test_combined_segment_loss_matches_printed_formula(Tn, data):
 
 def test_combined_loss_spreads_snippets_over_frames():
     # T=4, T'=2: frames 1,2 -> snippet 1; frames 3,4 -> snippet 2
-    cube = _cube([[[0.5]] * 4])
+    c = _frame_scores([[[0.5]] * 4])
     c_lang = Tensor([0.5, 0.3])
     rank = Tensor([1.0, 1.0, 1.0, 1.0])
-    out = G.combined_segment_loss(cube, rank, c_lang, 1.0)
+    out = G.combined_segment_loss(c, rank, c_lang, 1.0)
     want = np.mean([0.5, 0.5, 0.4, 0.4])
     assert abs(out.item() - want) < 1e-12
 
 
 def test_language_weighted_loss_hand_example():
     # obj-interact: weight and penalty both from C_lang; C_lang=0.5 -> pen 0
-    cube = _cube([[[0.9, 0.2]]])
-    out = G.language_weighted_segment_loss(cube, Tensor([0.05]), Tensor([0.5]), 0.9)
+    out = G.language_weighted_segment_loss(Tensor([0.05]), Tensor([0.5]), 0.9)
     assert abs(out.item() - 0.0225) < 1e-12
 
 
 def test_dvsa_loss_hand_example():
-    pos = _cube([[[0.2, 0.9]]])
-    vneg = _cube([[[0.85, 0.1]]])
-    sneg = _cube([[[0.3, 0.1]]])
-    out = G.dvsa_segment_loss(pos, [vneg], [sneg], delta=0.1)
+    # positive, visual negative, sentence negative
+    s = G.segment_score(_cube([[[0.2, 0.9]]], [[[0.85, 0.1]]], [[[0.3, 0.1]]]))
+    out = G.dvsa_segment_loss(s, delta=0.1)
     assert abs(out.item() - 0.05) < 1e-12  # only the visual hinge is active
 
 
 def test_losses_differentiable_end_to_end():
     rng = np.random.default_rng(2)
     d = 3
-    Q = Tensor(rng.standard_normal((2, d)), requires_grad=True)
-    feats = Tensor(rng.standard_normal((4 * 3, d)))   # 4 frames of 3
-    nfeats = Tensor(rng.standard_normal((4 * 3, d)))
+    Q = Tensor(rng.standard_normal((2, 2, d)), requires_grad=True)  # + a sentence neg
+    feats = Tensor(rng.standard_normal((2, 4 * 3, d)))  # + a visual neg; 4 frames of 3
 
     def f():
-        pos = G.similarity_cube(Q, feats, 4)
-        neg = G.similarity_cube(Q, nfeats, 4)
-        rank = G.frame_ranking_loss(pos, [neg], [neg], delta=0.5)
-        return G.weighted_segment_loss(pos, rank, 0.9)
+        c = G.frame_scores(G.similarity_cube(Q, feats, 4))
+        rank = G.frame_ranking_loss(c, delta=0.5)
+        return G.weighted_segment_loss(T.take(c, 0), rank, 0.9)
 
     err, _ = finite_diff_check(f, {"Q": Q}, step=1e-5)
     assert err < 1e-4

@@ -187,16 +187,15 @@ def test_relu_and_subgradient_at_zero():
 
 
 def test_hinge_values_and_subgradient_at_zero():
-    neg = Tensor([0.2, 0.5, 0.9], requires_grad=True)
-    pos = Tensor([0.5, 0.5, 0.5], requires_grad=True)
+    # rows: the positive, then two negatives
+    s = Tensor([[0.5, 0.5, 0.5], [0.2, 0.5, 0.9], [0.7, 0.1, 0.5]], requires_grad=True)
     with Tape():
-        out = T.hinge(neg, pos, 0.0)  # z = -0.3, 0 (the kink), 0.4
+        out = T.hinge(s, 0.0)  # z = -0.3, 0 (the kink), 0.4 and 0.2, -0.4, 0
         backward(_sum(out))
-    assert np.array_equal(out.data, [0.0, 0.0, 0.9 - 0.5])
-    assert np.array_equal(neg.grad, [0.0, 0.0, 1.0])
-    assert np.array_equal(pos.grad, [0.0, 0.0, -1.0])
+    assert np.array_equal(out.data, [(0.7 - 0.5) + 0.0, 0.0, (0.9 - 0.5) + 0.0])
+    assert np.array_equal(s.grad, [[-1.0, 0.0, -1.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
     with pytest.raises(ShapeError, match="hinge"):
-        T.hinge(Tensor([1.0]), Tensor([1.0, 2.0]), 0.1)
+        T.hinge(Tensor([[1.0, 2.0]]), 0.1)
 
 
 def test_penalty_floor_has_zero_subgradient():
@@ -439,14 +438,18 @@ def test_multi_head_attention_batch_matches_each_sequence_alone(lengths, heads, 
 
 
 def test_similarity_matches_scaled_sigmoid_of_each_product():
+    # queries: the positive and one sentence negative; proposals: the
+    # positive and two visual negatives; a middle axis of 3 segments
     rng = np.random.default_rng(6)
-    q, p = rng.standard_normal((3, 2, 4)), rng.standard_normal((3, 5, 4))
+    q, p = rng.standard_normal((2, 3, 2, 4)), rng.standard_normal((3, 3, 5, 4))
     out = T.similarity(Tensor(q), Tensor(p)).data
-    for b in range(3):
-        want = 1.0 / (1.0 + np.exp(-(q[b] @ p[b].T) / 2.0))
-        assert np.allclose(out[b], want, rtol=0, atol=1e-15)
+    assert out.shape == (4, 3, 2, 5)
+    for j, (qj, pj) in enumerate([(0, 0), (0, 1), (0, 2), (1, 0)]):
+        for b in range(3):
+            want = 1.0 / (1.0 + np.exp(-(q[qj, b] @ p[pj, b].T) / 2.0))
+            assert np.allclose(out[j, b], want, rtol=0, atol=1e-15)
     with pytest.raises(ShapeError, match="do not pair"):
-        T.similarity(Tensor(q), Tensor(p[:2]))
+        T.similarity(Tensor(q), Tensor(p[:, :2]))
 
 
 def test_take_repeated_indices_sum_and_unique_indices_assign():
@@ -497,12 +500,17 @@ GRAD_CASES = {
     "take": ([_normal], lambda x: T.take(x, [x.data.shape[0] - 1, 0, -1])),
     "add_rowvec": ([_normal, lambda rng, shape: _normal(rng, shape[1:])], T.add_rowvec),
     "sigmoid": ([_normal], T.sigmoid),
-    "similarity": ([_normal, _normal], T.similarity),
+    # K' = 2 sentence negatives of m queries, K = 2 visual negatives of m+1
+    # proposals, over a middle axis of 2 segments
+    "similarity": ([lambda rng, shape: _normal(rng, (3, 2) + shape),
+                    lambda rng, shape: _normal(rng, (3, 2, shape[0] + 1, shape[1]))],
+                   T.similarity),
     "relu": ([_off_zero], T.relu),
-    # neg - pos + delta is at least 0.06 away from the kink
-    "hinge": ([lambda rng, shape: _off_zero(rng, shape) - 0.3,
-               lambda rng, shape: rng.uniform(-0.04, 0.04, shape)],
-              lambda neg, pos: T.hinge(neg, pos, 0.3)),
+    # a positive row and two negatives; neg - pos + delta is at least 0.06
+    # away from the kink
+    "hinge": ([lambda rng, shape: np.concatenate([rng.uniform(-0.04, 0.04, (1,) + shape),
+                                                  _off_zero(rng, (2,) + shape) - 0.3])],
+              lambda s: T.hinge(s, 0.3)),
     "penalty": ([_positive], T.penalty),
     "max_last": ([_spread_rows], lambda x: T.max_last(x)[0]),
     "mean_all": ([_normal], T.mean_all),

@@ -314,7 +314,8 @@ def test_segment_loss_encodes_proposals_once_per_segment(monkeypatch):
 
 def test_gradcheck_all_modes_at_a_second_shape():
     # three blocks (positive + two visual negatives) of T=3 frames with N=6
-    # proposals each, O=3 queries: most proposal rows carry no gradient
+    # proposals each, O=3 queries, and two sentence negatives: five pairings
+    # per segment; most proposal rows carry no gradient
     cfg = GroundingConfig.from_dict({
         **GRADCHECK_DEFAULTS, "N": 6, "T": 3, "frames_per_segment": 3,
         "min_objects": 3, "max_objects": 3, "negatives": 2})
@@ -712,7 +713,7 @@ def test_tape_is_freed_by_reference_counting(mode):
             loss = T.mean_all(model.segment_loss(
                 [(seg, [nv], [ns.query_labels], [0, 1, 2])]))
             backward(loss)
-        assert loss.tape is tape and len(tape.nodes) > 10
+        assert loss.tape is tape and len(tape.nodes) >= 10
         del tape
         assert ref() is None and loss.tape is None
     finally:
@@ -774,12 +775,14 @@ SMALL_FULL = GroundingConfig(d=32, D_in=16, V=20, N=10, T=5, T_prime=5, sigma=0.
                              test_segments=4, seed=3)
 
 
-@pytest.mark.parametrize("mode, nodes", [("dvsa", 25), ("loss-weight", 28),
-                                         ("obj-interact", 63), ("full", 65)])
-def test_tape_nodes_per_planned_batch(mode, nodes):
-    # one node per hinge and per penalty; the counts do not depend on the
-    # batch's size or content
-    config = SMALL_FULL.replace(mode=mode)
+@pytest.mark.parametrize("negatives", [1, 2])
+@pytest.mark.parametrize("mode, nodes", [("dvsa", 10), ("loss-weight", 16),
+                                         ("obj-interact", 51), ("full", 54)])
+def test_tape_nodes_per_planned_batch(mode, nodes, negatives):
+    # every pairing of the margin loss sits in one similarity block and one
+    # hinge node; the counts depend on neither the number of negatives nor
+    # the batch's size or content
+    config = SMALL_FULL.replace(mode=mode, negatives=negatives)
     rng = np.random.default_rng(config.seed)
     _, splits = generate_synthetic(config)
     pool = splits["train"]
@@ -788,13 +791,21 @@ def test_tape_nodes_per_planned_batch(mode, nodes):
     batch, noise = [], []
     for seg in pool[:config.batch]:
         rows = disjoint_rows(pool, members, seg)
-        batch.append((seg, [sample_negative_sentence(pool, seg, rng, rows)],
-                      [sample_negative_sentence(pool, seg, rng, rows).query_labels],
+        draw = [sample_negative_sentence(pool, seg, rng, rows) for _ in range(2 * negatives)]
+        batch.append((seg, draw[:negatives], [s.query_labels for s in draw[negatives:]],
                       sample_frames(seg.n_frames, config.T, "train", rng)))
-        noise.append(model.draw_dropout(seg, 1, config.T, rng))
+        noise.append(model.draw_dropout(seg, negatives, config.T, rng))
     with Tape() as tape:
         backward(T.mean_all(model.segment_loss(batch, noise)))
     assert len(tape.nodes) == nodes
+
+
+def test_segment_loss_needs_both_negative_kinds():
+    seg, nv, ns = PARITY_SPLITS["train"][:3]
+    model = GroundingModel(PARITY, np.random.default_rng(0))
+    for vis, sent in (([], [ns.query_labels]), ([nv], [])):
+        with pytest.raises(ShapeError, match="each kind"):
+            model.segment_loss([(seg, vis, sent, [0, 1, 2])])
 
 
 @settings(max_examples=25, deadline=None)
@@ -830,20 +841,20 @@ def test_batched_losses_and_gradients_match_batches_of_one(mode, K, p_drop, data
 
 @pytest.mark.parametrize("mode", list(LossMode))
 def test_padded_query_labels_change_no_loss_and_no_gradient(mode, monkeypatch):
-    # segment 0 has one query and one sentence-negative label, segment 1
-    # three of each, so row 0 of every padded label block is padding from
-    # column 1 on
+    # segment 0 has one query and two sentence-negative labels, segment 1
+    # three queries and one label, so the positive and the sentence-negative
+    # label blocks are padded in different columns
     pool = PARITY_SPLITS["train"]
     short = dataclasses.replace(pool[0], query_labels=pool[0].query_labels[:1])
-    batch = [(short, [pool[2]], [[9]], [0, 1, 2]),
-             (pool[1], [pool[3]], [[10, 11, 12]], [1, 2, 3])]
+    batch = [(short, [pool[2]], [[9, 8]], [0, 1, 2]),
+             (pool[1], [pool[3]], [[10]], [1, 2, 3])]
     model = GroundingModel(PARITY.replace(mode=mode.value), np.random.default_rng(4))
     encode = model.query_enc.encode
     results = []
     for pad in (0, 5, 15):
         def padded(idx, pad=pad):
-            idx = np.array(idx)
-            idx[0, 1:] = pad
+            idx = np.array(idx)                   # (1+K', B, O)
+            idx[0, 0, 1:] = idx[1, 0, 2:] = idx[1, 1, 1:] = pad
             return encode(idx)
 
         monkeypatch.setattr(model.query_enc, "encode", padded)
