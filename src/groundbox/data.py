@@ -70,11 +70,15 @@ class SegmentSample:
 
 @dataclass
 class Vocabulary:
-    labels: list = field(default_factory=list)
+    labels: list = field(default_factory=list)  # labels[i] is vocabulary.txt line i+1
 
     def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
-            raise DataError("vocabulary labels must be unique")
+        first = {}  # label -> the line that holds it
+        for line, label in enumerate(self.labels, start=1):
+            if label in first:
+                raise DataError(f"line {line}: label {label!r} repeats line "
+                                f"{first[label]}; vocabulary labels must be unique")
+            first[label] = line
 
     @property
     def size(self):
@@ -256,52 +260,62 @@ def sample_negative_sentence(pool, positive, rng, rows=None):
 # --------------------------------------------------------------------------
 # persistence
 
-def temp_beside(path):
-    """The .<name>.<pid>.tmp file a save writes before it replaces path."""
-    return path.with_name(f".{path.name}.{os.getpid()}.tmp")
-
-
 @contextmanager
-def replacing(path, mode="w"):
-    """Write path through a temp file beside it: yields the temp file open in
-    mode (text as UTF-8, newlines untranslated), moves it over path when the
-    block ends, and removes it instead if the block raises, leaving any
-    earlier path whole."""
-    path = Path(path)
-    tmp = temp_beside(path)
-    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+def replacing(*paths):
+    """Write paths through temp files: the save protocol of every artifact.
+
+    Yields a list of one temp path per target, .<name>.<pid>.tmp beside it,
+    for the block to write. When the block ends they replace their targets in
+    order. With more than one target the last is a manifest of the others:
+    the old one is removed before anything is replaced, so no manifest ever
+    describes files it was not written with. If the block or a replace
+    raises, the temp files left are removed and every target not yet
+    replaced stays as it was.
+    """
+    paths = [Path(path) for path in paths]
+    tmp = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
     try:
-        with open(tmp, mode, **text) as fh:
-            yield fh
-        os.replace(tmp, path)
+        yield tmp
+        if len(paths) > 1:
+            paths[-1].unlink(missing_ok=True)
+        for path, target in zip(tmp, paths):
+            os.replace(path, target)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for path in tmp:
+            path.unlink(missing_ok=True)
         raise
 
 
-def save_segments(out_dir, vocab, splits):
-    """Write vocab and splits as a format-2 dataset directory.
+def read_object(path):
+    """The JSON object in the file at path; DataError naming path if the file
+    holds anything else."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise DataError(f"{path}: not a JSON object: {exc}") from None
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: not a JSON object: {type(obj).__name__}")
+    return obj
 
-    Each file is written to a .<name>.<pid>.tmp file beside it, feature and
-    box rows streamed segment by segment. Only when all are written do they
-    replace their targets, the manifest features.json last and with any old
-    manifest removed first, so a save that fails leaves no temp file and no
-    manifest over data it does not describe. Every segment must hold the
-    first one's proposals per frame and feature width (DataError).
+
+def save_segments(out_dir, vocab, splits):
+    """Write vocab and splits as a format-2 dataset directory through
+    replacing, the manifest features.json last, feature and box rows
+    streamed segment by segment. Every segment must hold the first one's
+    proposals per frame and feature width (DataError).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     names = ("vocabulary.txt", "segments.jsonl", "boxes.bin", "features.bin",
              "features.json")
-    tmp = {name: temp_beside(out_dir / name) for name in names}
-    try:
-        tmp["vocabulary.txt"].write_text("".join(lab + "\n" for lab in vocab.labels),
-                                         encoding="utf-8")
+    with replacing(*(out_dir / name for name in names)) as (
+            vocab_tmp, lines_tmp, boxes_tmp, feats_tmp, manifest_tmp):
+        vocab_tmp.write_text("".join(lab + "\n" for lab in vocab.labels),
+                             encoding="utf-8")
         shape = None  # (N, dim) of the first segment
         row = 0
-        with open(tmp["segments.jsonl"], "w", encoding="utf-8") as lines, \
-                open(tmp["boxes.bin"], "wb") as boxes, \
-                open(tmp["features.bin"], "wb") as feats:
+        with open(lines_tmp, "w", encoding="utf-8") as lines, \
+                open(boxes_tmp, "wb") as boxes, open(feats_tmp, "wb") as feats:
             for split in sorted(splits):
                 for seg in splits[split]:
                     (F, N), dim = seg.frames.shape, seg.frames.feature.shape[-1]
@@ -322,34 +336,30 @@ def save_segments(out_dir, vocab, splits):
                     lines.write(json.dumps(rec, separators=(",", ":")) + "\n")
                     row += F * N
         N, dim = shape or (0, 0)
-        tmp["features.json"].write_text(
+        manifest_tmp.write_text(
             json.dumps({"format": FORMAT, "rows": row, "dim": dim, "N": N}),
             encoding="utf-8")
-        (out_dir / "features.json").unlink(missing_ok=True)
-        for name in names:
-            os.replace(tmp[name], out_dir / name)
-    except BaseException:
-        for path in tmp.values():
-            path.unlink(missing_ok=True)
-        raise
 
 
 def load_segments(data_dir):
     """Inverse of save_segments; returns (vocab, {split: [SegmentSample]}).
 
     Every field is validated as it is read. A fault raises DataError naming
-    the file and the field: features.json and its field, boxes.bin and the
-    row of a bad proposal box, segments.jsonl:<line> and the field of a bad
-    record, features.bin and the first row of a segment whose feature block
-    holds a NaN or an infinity. A blob whose size the manifest does not
-    predict raises IntegrityError naming it. Segments' rows must tile
-    [0, rows) in file order, and each segment's feature block is read on its
-    own. Segment ids are unique strings, splits are train, val or test, and
+    the file and the field: vocabulary.txt and the line of a repeated label,
+    features.json and its field, boxes.bin and the row of a bad proposal box,
+    segments.jsonl:<line> and the field of a bad record, features.bin and the
+    first row of a segment whose feature block holds a NaN or an infinity. A
+    blob whose size the manifest does not predict raises IntegrityError
+    naming it. Segments' rows must tile [0, rows) in file order, and each
+    segment's feature block is read on its own. Segment ids are unique strings, splits are train, val or test, and
     gt is null exactly on train records.
     """
     data_dir = Path(data_dir)
-    vocab = Vocabulary((data_dir / "vocabulary.txt")
-                       .read_text(encoding="utf-8").splitlines())
+    vocab_path = data_dir / "vocabulary.txt"
+    try:
+        vocab = Vocabulary(vocab_path.read_text(encoding="utf-8").splitlines())
+    except DataError as exc:
+        raise DataError(f"{vocab_path}: {exc}") from None
     manifest = data_dir / "features.json"
     rows, dim, N = _read_manifest(manifest)
     box_path, feat_path = data_dir / "boxes.bin", data_dir / "features.bin"
@@ -403,20 +413,14 @@ def load_segments(data_dir):
 def _read_manifest(path):
     """(rows, dim, N) of a format-2 features.json; DataError naming path and
     the field."""
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise DataError(f"{path}: not a JSON object: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise DataError(f"{path}: not a JSON object: {type(manifest).__name__}")
+    manifest = read_object(path)
     version = manifest.get("format")
     if type(version) is not int or version != FORMAT:
         raise DataError(f"{path}: format: {version!r}, but this version reads only "
                         f"format {FORMAT} datasets; re-run gen-data to rewrite it")
     try:
-        return [checked_counts(key, [manifest[key]])[0] for key in ("rows", "dim", "N")]
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
+        return [checked_counts(f"{path}: {key}", [manifest[key]])[0]
+                for key in ("rows", "dim", "N")]
     except KeyError as exc:
         raise DataError(f"{path}: missing field {exc}") from None
 
@@ -432,7 +436,7 @@ def _fields_of(rec, at, N, rows, n_labels):
     if (gt is None) != (split == "train"):
         raise DataError(f"gt: {'null' if gt is None else 'a list'} on a {split} "
                         "record, but gt is null exactly on train records")
-    labels = _checked_list("query_labels", rec["query_labels"], "integer")
+    labels = checked_list("query_labels", rec["query_labels"], "integer")
     _check_range("query_labels", np.array(labels, dtype=np.int64), n_labels,
                  "vocabulary.txt labels")
     F, row = (checked_counts(key, [rec[key]])[0] for key in ("frames", "row"))
@@ -445,8 +449,8 @@ def _fields_of(rec, at, N, rows, n_labels):
 
     if gt is not None:
         for key in ("query", "frame"):
-            _checked_list(f"gt.{key}", [g[key] for g in gt], "integer")
-        _checked_list("gt.box", [c for g in gt for c in g["box"]], "number")
+            checked_list(f"gt.{key}", [g[key] for g in gt], "integer")
+        checked_list("gt.box", [c for g in gt for c in g["box"]], "number")
         gt = np.array([(g["query"], g["frame"], g["box"]) for g in gt],
                       dtype=GT_DTYPE).view(np.recarray)
         _check_range("gt.query", gt.query, len(labels), "query labels")
@@ -460,7 +464,7 @@ def _fields_of(rec, at, N, rows, n_labels):
 _JSON_TYPES = {"integer": (int,), "number": (int, float)}
 
 
-def _checked_list(field, values, kind):
+def checked_list(field, values, kind):
     """values, if each is a JSON value of that kind ("integer" or "number");
     types match exactly, so a bool is neither an integer nor a number and a
     float is no integer. Else DataError naming field."""
@@ -472,7 +476,7 @@ def _checked_list(field, values, kind):
 
 def checked_counts(field, values):
     """values, if each is a nonnegative JSON integer; else DataError naming field."""
-    bad = [v for v in _checked_list(field, values, "integer") if v < 0]
+    bad = [v for v in checked_list(field, values, "integer") if v < 0]
     if bad:
         raise DataError(f"{field}: {bad[0]} is negative")
     return values

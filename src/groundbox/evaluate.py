@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import replacing
+from .data import DataError, checked_list, read_object, replacing
 
 IOU_THRESHOLD = 0.5
 
@@ -23,30 +23,32 @@ class EvalReport:
     macro_accuracy: float = 0.0
     upper_bound: float = None
 
-    def to_dict(self, mode=None, split=None):
-        return {"mode": mode, "split": split,
-                "macro_accuracy": self.macro_accuracy,
-                "upper_bound": self.upper_bound,
-                "per_class": self.per_class}
-
     def save(self, path, mode=None, split=None):
-        """Write the report as JSON to a temp file beside path, then move it
-        over path, so a failed save leaves any earlier report whole."""
-        with replacing(path) as fh:
-            json.dump(self.to_dict(mode, split), fh, indent=1)
+        """Write the report as JSON through data.replacing."""
+        report = {"mode": mode, "split": split,
+                  "macro_accuracy": self.macro_accuracy,
+                  "upper_bound": self.upper_bound,
+                  "per_class": self.per_class}
+        with replacing(path) as (tmp,):
+            tmp.write_text(json.dumps(report, indent=1), encoding="utf-8")
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            d = json.load(fh)
+        """(report, its JSON object); DataError naming path, and the class
+        where there is one, unless the file is a JSON object whose
+        macro_accuracy and per_class accs are JSON numbers."""
+        d = read_object(path)
         missing = [key for key in ("per_class", "macro_accuracy") if key not in d]
         if missing:
-            raise ValueError(f"{path}: report lacks {missing}")
+            raise DataError(f"{path}: report lacks {missing}")
         if not isinstance(d["per_class"], dict):
-            raise ValueError(f"{path}: per_class is not an object")
+            raise DataError(f"{path}: per_class is not an object")
+        checked_list(f"{path}: macro_accuracy", [d["macro_accuracy"]], "number")
         for label, entry in d["per_class"].items():
             if not isinstance(entry, dict) or "acc" not in entry:
-                raise ValueError(f"{path}: per_class entry {label!r} has no \"acc\"")
+                raise DataError(f"{path}: per_class entry {label!r} has no \"acc\"")
+            checked_list(f"{path}: per_class entry {label!r}: acc", [entry["acc"]],
+                         "number")
         return cls(per_class=d["per_class"], macro_accuracy=d["macro_accuracy"],
                    upper_bound=d.get("upper_bound")), d
 

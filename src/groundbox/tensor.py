@@ -337,7 +337,11 @@ def similarity(q, p):
     K = p.data.shape[0] - 1
     s = 1.0 / math.sqrt(q.data.shape[-1])
     pt = p.data.swapaxes(-1, -2)
-    y = _sigmoid(np.concatenate([q.data[:1] @ pt, q.data[1:] @ pt[:1]]) * s)
+    z = np.empty((K + len(q.data),) + q.data.shape[1:-1] + pt.shape[-1:],
+                 np.result_type(q.data, p.data))
+    np.matmul(q.data[:1], pt, out=z[:K + 1])
+    np.matmul(q.data[1:], pt[:1], out=z[K + 1:])
+    y = _sigmoid(z * s)
     out = Tensor(y)
 
     def bwd(g):

@@ -3,15 +3,14 @@
 import csv
 import json
 import logging
-import os
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
 from .data import (DataError, IntegrityError, SamplingError, checked_counts,
-                   disjoint_rows, label_members, replacing, sample_frames,
-                   sample_negative_sentence, temp_beside)
+                   disjoint_rows, label_members, read_object, replacing,
+                   sample_frames, sample_negative_sentence)
 from .evaluate import evaluate_model
 from .model import GroundingModel, load_into_model
 from .tensor import ShapeError, Tape, backward
@@ -161,7 +160,8 @@ def train(config, splits, out_dir=None, log_every=0):
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         checkpoint_save(out_dir / "checkpoint", model.params(), config)
-        with replacing(out_dir / "trainlog.csv") as fh:
+        with replacing(out_dir / "trainlog.csv") as (tmp,), \
+                open(tmp, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "train_loss", "val_accuracy"])
             writer.writerows(history)
@@ -172,48 +172,37 @@ def train(config, splits, out_dir=None, log_every=0):
 # checkpoints: flat float64 binary + JSON manifest of named shapes
 
 def checkpoint_save(path_prefix, params, config=None):
-    """Write params as <prefix>.bin (float64, in manifest order) and their
-    manifest <prefix>.json.
-
-    Both go to .<name>.<pid>.tmp files beside their targets, each parameter
-    streamed to the blob. Only when both are written do they replace their
-    targets, the manifest last and with any old one removed first, so a save
-    that fails leaves the earlier checkpoint whole and no temp file.
+    """Write params as <prefix>.bin (float64, in manifest order, each
+    parameter streamed) and their manifest <prefix>.json, through replacing.
     """
     path_prefix = Path(path_prefix)
     manifest = {"params": {name: list(t.data.shape) for name, t in params.items()}}
     if config is not None:
         manifest["config"] = config.to_dict()
-    targets = (path_prefix.with_suffix(".bin"), path_prefix.with_suffix(".json"))
-    tmp = [temp_beside(path) for path in targets]
-    try:
-        with open(tmp[0], "wb") as blob:
+    with replacing(path_prefix.with_suffix(".bin"),
+                   path_prefix.with_suffix(".json")) as (blob_tmp, manifest_tmp):
+        with open(blob_tmp, "wb") as blob:
             for name in manifest["params"]:
                 blob.write(np.ascontiguousarray(params[name].data, dtype="<f8"))
-        tmp[1].write_text(json.dumps(manifest, indent=1), encoding="utf-8")
-        targets[1].unlink(missing_ok=True)
-        for path, target in zip(tmp, targets):
-            os.replace(path, target)
-    except BaseException:
-        for path in tmp:
-            path.unlink(missing_ok=True)
-        raise
+        manifest_tmp.write_text(json.dumps(manifest, indent=1), encoding="utf-8")
 
 
 def checkpoint_load(path_prefix):
     """Returns ({name: float64 view of the blob}, config dict or None).
 
-    Raises IntegrityError naming the file at fault: a manifest that does not
-    parse or whose params are not a name -> shape object, a blob of the wrong
-    size, or a parameter that holds a non-finite value.
+    Raises IntegrityError naming the file at fault: a manifest that is not a
+    JSON object or whose params are not a name -> shape object, a blob of the
+    wrong size, or a parameter that holds a non-finite value.
     """
     path_prefix = Path(path_prefix)
     json_path, bin_path = path_prefix.with_suffix(".json"), path_prefix.with_suffix(".bin")
     try:
-        manifest = json.loads(json_path.read_text(encoding="utf-8"))
-        shapes = {name: tuple(checked_counts(f"params.{name}", s))
+        manifest = read_object(json_path)
+        shapes = {name: tuple(checked_counts(f"{json_path}: params.{name}", s))
                   for name, s in manifest["params"].items()}
-    except (json.JSONDecodeError, DataError, KeyError, TypeError, AttributeError) as exc:
+    except DataError as exc:        # it names the file already
+        raise IntegrityError(str(exc)) from None
+    except (KeyError, TypeError, AttributeError) as exc:
         raise IntegrityError(f"{json_path}: corrupt checkpoint manifest: {exc}") from exc
     expected = sum(int(np.prod(s)) for s in shapes.values()) * 8
     size = bin_path.stat().st_size

@@ -333,11 +333,20 @@ def test_cli_compare_mismatch_exits_1(tmp_path, capsys):
     assert main(["compare", "--a", str(tmp_path / "a.json"),
                  "--b", str(tmp_path / "b.json")]) == 1
     assert f"{tmp_path / 'b.json'}: report lacks ['per_class']" in capsys.readouterr().err
-    # so is a class without an accuracy
-    for per_class, want in (({"x": {"n": 1}}, "per_class entry 'x' has no \"acc\""),
-                            ({"x": 0.5}, "per_class entry 'x' has no \"acc\""),
-                            ([], "per_class is not an object")):
-        (tmp_path / "b.json").write_text(json.dumps(dict(a, per_class=per_class)))
+    # so is a class without an accuracy, a file that is not a JSON object and
+    # an accuracy that is not a number
+    for text, want in (
+            (json.dumps(dict(a, per_class={"x": {"n": 1}})),
+             "per_class entry 'x' has no \"acc\""),
+            (json.dumps(dict(a, per_class={"x": 0.5})), "per_class entry 'x' has no \"acc\""),
+            (json.dumps(dict(a, per_class=[])), "per_class is not an object"),
+            ("not json", "not a JSON object: Expecting value: line 1 column 1 (char 0)"),
+            ("3", "not a JSON object: int"),
+            (json.dumps(dict(a, per_class={"x": {"acc": "hi", "n": 1}})),
+             "per_class entry 'x': acc: 'hi' is not a JSON number"),
+            (json.dumps(dict(a, macro_accuracy=None)),
+             "macro_accuracy: None is not a JSON number")):
+        (tmp_path / "b.json").write_text(text)
         assert main(["compare", "--a", str(tmp_path / "a.json"),
                      "--b", str(tmp_path / "b.json")]) == 1
         assert f"{tmp_path / 'b.json'}: {want}" in capsys.readouterr().err

@@ -30,6 +30,18 @@ def test_vocabulary_rejects_duplicates():
         Vocabulary(["a", "b", "a"])
 
 
+def test_load_names_a_repeated_vocabulary_label_and_its_line(tmp_path):
+    vocab, splits = generate_synthetic(SMALL)
+    save_segments(tmp_path, vocab, splits)
+    path = tmp_path / "vocabulary.txt"
+    labels = path.read_text().splitlines()
+    labels[1] = "obj00"
+    path.write_text("".join(lab + "\n" for lab in labels))
+    want = f"{path}: line 2: label 'obj00' repeats line 1"
+    with pytest.raises(DataError, match=re.escape(want)):
+        load_segments(tmp_path)
+
+
 def test_generate_counts_and_shapes():
     vocab, splits = generate_synthetic(SMALL)
     assert vocab.size == 12

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import json
 import math
+import os
 import re
 import tempfile
 import weakref
@@ -424,6 +425,46 @@ def test_checkpoint_save_that_fails_keeps_the_earlier_checkpoint(tmp_path, where
     with pytest.raises((ValueError, TypeError)):
         checkpoint_save(tmp_path / "ck", params, config)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def _save_dataset(directory, seed):
+    save_segments(directory, *generate_synthetic(TINY, seed=seed))
+
+
+def _save_checkpoint(directory, seed):
+    model = GroundingModel(TINY, np.random.default_rng(seed))
+    checkpoint_save(directory / "checkpoint", model.params(), TINY)
+
+
+@pytest.mark.parametrize("save, load, manifest", [
+    (_save_dataset, load_segments, "features.json"),
+    (_save_checkpoint, lambda d: checkpoint_load(d / "checkpoint"), "checkpoint.json"),
+], ids=["dataset", "checkpoint"])
+def test_a_save_that_fails_while_replacing_leaves_no_manifest(tmp_path, monkeypatch,
+                                                              save, load, manifest):
+    save(tmp_path, 0)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    replaced = []
+    os_replace = os.replace
+
+    def replace_once(src, dst):
+        if replaced:
+            raise OSError("disk full")
+        replaced.append(Path(dst).name)
+        os_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_once)
+    with pytest.raises(OSError, match="disk full"):
+        save(tmp_path, 1)
+    monkeypatch.undo()
+    after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert not [name for name in after if name.endswith(".tmp")]
+    assert manifest not in after
+    # every target after the first, but the manifest, stays as it was
+    assert {name: after[name] for name in after if name not in replaced} == \
+        {name: before[name] for name in before if name not in (manifest, *replaced)}
+    with pytest.raises(FileNotFoundError, match=re.escape(str(tmp_path / manifest))):
+        load(tmp_path)
 
 
 @settings(max_examples=25, deadline=None)
