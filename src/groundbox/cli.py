@@ -99,7 +99,7 @@ def _load_dataset(data_dir, config, source):
     if vocab.size != config.V:
         raise DataError(f"{Path(data_dir) / 'vocabulary.txt'} holds {vocab.size} "
                         f"labels, but {source} has V={config.V}")
-    dims = {seg.frames.feature.shape[-1] for segs in splits.values() for seg in segs}
+    dims = {seg.frames["feature"].shape[-1] for segs in splits.values() for seg in segs}
     if dims - {config.D_in}:
         raise DataError(f"{Path(data_dir) / 'features.json'}: dim {dims.pop()}, "
                         f"but {source} has D_in={config.D_in}")

@@ -46,13 +46,17 @@ class SamplingError(RuntimeError):
 
 
 def proposal_dtype(D_in):
-    """Record of one proposal: its box (x1, y1, x2, y2) and its feature row."""
-    return np.dtype([("box", "<f8", (4,)), ("feature", "<f4", (D_in,))])
+    """Record of one proposal: its box (x1, y1, x2, y2) and its feature row.
+
+    Arrays of it are plain ndarrays, read by field (frames["feature"]); an
+    element is an np.record, so one proposal also reads p.box, p.feature."""
+    return np.dtype((np.record, [("box", "<f8", (4,)), ("feature", "<f4", (D_in,))]))
 
 
 # one ground-truth record: query (index into query_labels) is visible at
-# frame (raw frame id within the segment) inside box
-GT_DTYPE = np.dtype([("query", "<i8"), ("frame", "<i8"), ("box", "<f8", (4,))])
+# frame (raw frame id within the segment) inside box; records, like
+# proposals, read g.query, g.frame, g.box
+GT_DTYPE = np.dtype((np.record, [("query", "<i8"), ("frame", "<i8"), ("box", "<f8", (4,))]))
 
 
 @dataclass
@@ -60,8 +64,8 @@ class SegmentSample:
     segment_id: str
     split: str
     query_labels: list        # ordered vocab ids, as in the sentence
-    frames: np.recarray       # (F, N) proposal_dtype records
-    gt: np.recarray = None    # (G,) GT_DTYPE records; present iff split is val/test
+    frames: np.ndarray        # (F, N) proposal_dtype records
+    gt: np.ndarray = None     # (G,) GT_DTYPE records; present iff split is val/test
 
     @property
     def n_frames(self):
@@ -184,12 +188,12 @@ def generate_synthetic(config, seed=None):
                     boxes.append(true_boxes[owner])
             gt.extend((k, f, true_boxes[k]) for k in present)
 
-        frames = np.recarray((F, N), dtype=proposal_dtype(D_in))
-        frames.feature = draws[:, :, 0] + config.sigma * draws[:, :, 1]
-        frames.box = np.array(boxes).reshape(F, N, 4)
+        frames = np.empty((F, N), dtype=proposal_dtype(D_in))
+        frames["feature"] = draws[:, :, 0] + config.sigma * draws[:, :, 1]
+        frames["box"] = np.array(boxes).reshape(F, N, 4)
         return SegmentSample(segment_id=sid, split=split, query_labels=query_labels,
                              frames=frames, gt=None if split == "train" else
-                             np.array(gt, dtype=GT_DTYPE).view(np.recarray))
+                             np.array(gt, dtype=GT_DTYPE))
 
     splits = {}
     for split, count in (("train", config.train_segments),
@@ -318,21 +322,22 @@ def save_segments(out_dir, vocab, splits):
                 open(boxes_tmp, "wb") as boxes, open(feats_tmp, "wb") as feats:
             for split in sorted(splits):
                 for seg in splits[split]:
-                    (F, N), dim = seg.frames.shape, seg.frames.feature.shape[-1]
+                    (F, N), dim = seg.frames.shape, seg.frames["feature"].shape[-1]
                     shape = shape or (N, dim)
                     if (N, dim) != shape:
                         raise DataError(
                             f"segment {seg.segment_id!r}: {N} proposals of dim {dim} "
                             f"per frame, but the first segment has {shape[0]} of dim "
                             f"{shape[1]}")
-                    boxes.write(np.ascontiguousarray(seg.frames.box, dtype="<f8"))
-                    feats.write(np.ascontiguousarray(seg.frames.feature, dtype="<f4"))
+                    boxes.write(np.ascontiguousarray(seg.frames["box"], dtype="<f8"))
+                    feats.write(np.ascontiguousarray(seg.frames["feature"], dtype="<f4"))
                     gt = seg.gt
                     rec = {"segment_id": seg.segment_id, "split": split,
                            "query_labels": seg.query_labels, "frames": F, "row": row,
                            "gt": None if gt is None else
                            [{"query": q, "frame": f, "box": box} for q, f, box in
-                            zip(gt.query.tolist(), gt.frame.tolist(), gt.box.tolist())]}
+                            zip(gt["query"].tolist(), gt["frame"].tolist(),
+                                gt["box"].tolist())]}
                     lines.write(json.dumps(rec, separators=(",", ":")) + "\n")
                     row += F * N
         N, dim = shape or (0, 0)
@@ -398,9 +403,9 @@ def load_segments(data_dir):
                 i = int(np.flatnonzero(~np.isfinite(block))[0])
                 raise DataError(f"{feat_path}: row {at + i // dim}: feature {i % dim} "
                                 f"is {block[i]}, not a finite number")
-            frames = np.recarray((F, N), dtype=proposal_dtype(dim))
-            frames.box = boxes[at:at + F * N].reshape(F, N, 4)
-            frames.feature = block.reshape(F, N, dim)
+            frames = np.empty((F, N), dtype=proposal_dtype(dim))
+            frames["box"] = boxes[at:at + F * N].reshape(F, N, 4)
+            frames["feature"] = block.reshape(F, N, dim)
             at += F * N
             splits.setdefault(split, []).append(
                 SegmentSample(sid, split, labels, frames, gt))
@@ -452,12 +457,12 @@ def _fields_of(rec, at, N, rows, n_labels):
             checked_list(f"gt.{key}", [g[key] for g in gt], "integer")
         checked_list("gt.box", [c for g in gt for c in g["box"]], "number")
         gt = np.array([(g["query"], g["frame"], g["box"]) for g in gt],
-                      dtype=GT_DTYPE).view(np.recarray)
-        _check_range("gt.query", gt.query, len(labels), "query labels")
-        _check_range("gt.frame", gt.frame, F, "frames")
-        bad = _bad_boxes(gt.box)
+                      dtype=GT_DTYPE)
+        _check_range("gt.query", gt["query"], len(labels), "query labels")
+        _check_range("gt.frame", gt["frame"], F, "frames")
+        bad = _bad_boxes(gt["box"])
         if bad.any():
-            raise DataError(f"gt.box: {gt.box[bad][0].tolist()} {_BOX_RULE}")
+            raise DataError(f"gt.box: {gt['box'][bad][0].tolist()} {_BOX_RULE}")
     return sid, split, list(labels), F, gt
 
 

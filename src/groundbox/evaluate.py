@@ -9,10 +9,12 @@ with at least one instance.
 import json
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
-from .data import DataError, checked_list, read_object, replacing
+from .data import GT_DTYPE, DataError, checked_list, read_object, replacing
 
 IOU_THRESHOLD = 0.5
 
@@ -56,23 +58,59 @@ class EvalReport:
 def iou(a, b):
     """Intersection area over union area of boxes (x1, y1, x2, y2) along the
     last axis of a and b, which broadcast against each other."""
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    lo, hi = np.maximum(a[..., :2], b[..., :2]), np.minimum(a[..., 2:], b[..., 2:])
-    inter = np.prod(np.maximum(0.0, hi - lo), axis=-1)
-    area_a = np.prod(a[..., 2:] - a[..., :2], axis=-1)
-    return inter / (area_a + np.prod(b[..., 2:] - b[..., :2], axis=-1) - inter)
+    ax1, ay1, ax2, ay2 = np.moveaxis(np.asarray(a, dtype=np.float64), -1, 0)
+    bx1, by1, bx2, by2 = np.moveaxis(np.asarray(b, dtype=np.float64), -1, 0)
+    inter = (np.maximum(0.0, np.minimum(ax2, bx2) - np.maximum(ax1, bx1))
+             * np.maximum(0.0, np.minimum(ay2, by2) - np.maximum(ay1, by1)))
+    return inter / ((ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter)
 
 
-def _gt_columns(samples):
-    """(segments that carry gt, the vocab id of each gt record's query, the
-    (R, 4) gt boxes), records concatenated in sample order; None when no
+class _GtIndex(NamedTuple):
+    """Every gt record of a list of samples as columns, in sample order."""
+    seg: np.ndarray      # (R,) position in samples of the record's segment
+    query: np.ndarray    # (R,) its query, an index into query_labels
+    frame: np.ndarray    # (R,) its frame
+    box: np.ndarray      # (R, 4) its gt box
+    label: np.ndarray    # (R,) the vocab id of its query
+    starts: np.ndarray   # (len(samples) + 1,) the first record of each segment
+
+
+_NO_GT = np.empty(0, dtype=GT_DTYPE)
+
+
+def _gt_index(samples):
+    """The _GtIndex of samples, each field concatenated once; None when no
     segment carries gt."""
-    scored = [seg for seg in samples if seg.gt is not None]
-    if not scored:
+    if all(sample.gt is None for sample in samples):
         return None
-    label_ids = np.concatenate([np.asarray(seg.query_labels, dtype=np.intp)[seg.gt["query"]]
-                                for seg in scored])
-    return scored, label_ids, np.concatenate([seg.gt["box"] for seg in scored])
+    gts = [_NO_GT if sample.gt is None else sample.gt for sample in samples]
+    counts = [len(gt) for gt in gts]
+    seg = np.repeat(np.arange(len(samples)), counts)
+    query = np.concatenate([gt["query"] for gt in gts])
+    labels = [sample.query_labels for sample in samples]
+    first_label = np.cumsum([0] + [len(ids) for ids in labels[:-1]])
+    label = np.fromiter(chain.from_iterable(labels), dtype=np.intp)[first_label[seg] + query]
+    return _GtIndex(seg, query, np.concatenate([gt["frame"] for gt in gts]),
+                    np.concatenate([gt["box"] for gt in gts]), label,
+                    np.cumsum([0] + counts))
+
+
+def _scored_frames(samples, gt):
+    """Per segment, the sorted distinct frames of its gt records, or every
+    frame of a segment without any: the frames predict scores by default."""
+    width = max(seg.n_frames for seg in samples)
+    keys = np.unique(gt.seg * width + gt.frame)
+    cuts = np.searchsorted(keys, np.arange(len(samples) + 1) * width).tolist()
+    frames = keys % width
+    return [frames[lo:hi] if hi > lo else np.arange(seg.n_frames)
+            for seg, lo, hi in zip(samples, cuts[:-1], cuts[1:])]
+
+
+def _ious(samples, gt):
+    """(R, N): the IoU of every proposal at a gt record's frame with its box."""
+    first_frame = np.cumsum([0] + [seg.n_frames for seg in samples[:-1]])
+    boxes = np.concatenate([seg.frames["box"] for seg in samples])   # (sum F, N, 4)
+    return iou(boxes[first_frame[gt.seg] + gt.frame], gt.box[:, None])
 
 
 def _report(hit, label_ids, vocab):
@@ -89,19 +127,9 @@ def _report(hit, label_ids, vocab):
     return EvalReport(per_class=per_class, macro_accuracy=macro)
 
 
-def _hits(boxes, gt_box):
-    return iou(boxes, gt_box) > IOU_THRESHOLD
-
-
-def _candidates(scored):
-    """(R, N, 4): the proposal boxes at the frame of every gt record."""
-    return np.concatenate([seg.frames["box"][seg.gt["frame"]] for seg in scored])
-
-
-def _bound(candidates, gt_box, label_ids, vocab):
+def _bound(ious, label_ids, vocab):
     """Macro accuracy if the best candidate of every gt record were chosen."""
-    hit = _hits(candidates, gt_box[:, None]).any(axis=-1)
-    return _report(hit, label_ids, vocab).macro_accuracy
+    return _report((ious > IOU_THRESHOLD).any(axis=-1), label_ids, vocab).macro_accuracy
 
 
 def box_accuracy(samples, predictions, vocab):
@@ -110,55 +138,52 @@ def box_accuracy(samples, predictions, vocab):
     Every gt record of the split is tested in one IoU expression; a record
     without a prediction warns and counts as a miss.
     """
-    columns = _gt_columns(samples)
-    if columns is None:
+    gt = _gt_index(samples)
+    if gt is None:
         return EvalReport()
-    scored, label_ids, gt_box = columns
-    keys = [(seg.segment_id, q, f) for seg in scored
-            for q, f in zip(seg.gt["query"].tolist(), seg.gt["frame"].tolist())]
+    keys = list(zip([samples[b].segment_id for b in gt.seg.tolist()],
+                    gt.query.tolist(), gt.frame.tolist()))
     boxes = [predictions.get(key) for key in keys]
     missing = [j for j, box in enumerate(boxes) if box is None]
     for j in missing:
         sid, q, f = keys[j]
         warnings.warn(f"no prediction for {sid} query {q} frame {f}; counted as miss")
-        boxes[j] = gt_box[j]
-    hit = _hits(np.reshape(boxes, (-1, 4)), gt_box)
+        boxes[j] = gt.box[j]
+    hit = iou(np.reshape(boxes, (-1, 4)), gt.box) > IOU_THRESHOLD
     hit[missing] = False
-    return _report(hit, label_ids, vocab)
+    return _report(hit, gt.label, vocab)
 
 
 def upper_bound(samples, vocab):
     """Accuracy if the best of the N proposals were always chosen."""
-    columns = _gt_columns(samples)
-    if columns is None:
-        return 0.0
-    scored, label_ids, gt_box = columns
-    return _bound(_candidates(scored), gt_box, label_ids, vocab)
+    gt = _gt_index(samples)
+    return 0.0 if gt is None else _bound(_ious(samples, gt), gt.label, vocab)
 
 
 def evaluate_model(model, samples, vocab=None):
     """Ground every gt (query, frame) with the model and report box accuracy
-    and the proposal upper bound, the split tallied in two IoU calls.
+    and the proposal upper bound, both read from one IoU matrix of the split.
 
-    The model predicts config.batch segments per pass, so no eval block is
-    larger than a training minibatch.
+    The model predicts config.batch segments per pass, at the frames that
+    carry a gt record (every frame of a segment without one), so no eval
+    block is larger than a training minibatch.
     """
     if vocab is None:  # synthetic in-memory runs know only the vocab ids
         vocab = [f"label{i:03d}" for i in range(model.config.V)]
-    columns = _gt_columns(samples)
-    if columns is None:
+    gt = _gt_index(samples)
+    if gt is None:
         return EvalReport(upper_bound=0.0)
-    scored, label_ids, gt_box = columns
-    picks = []                  # the chosen proposal of every gt record
+    frames = _scored_frames(samples, gt)
+    pick = np.empty(len(gt.seg), dtype=np.intp)   # the chosen proposal of each record
     step = model.config.batch
     for start in range(0, len(samples), step):
-        chunk = samples[start:start + step]
-        picks += [p[seg.gt["query"], seg.gt["frame"]]
-                  for seg, p in zip(chunk, model.predict(chunk)) if seg.gt is not None]
-    candidates = _candidates(scored)
-    chosen = candidates[np.arange(len(candidates)), np.concatenate(picks)]
-    report = _report(_hits(chosen, gt_box), label_ids, vocab)
-    report.upper_bound = _bound(candidates, gt_box, label_ids, vocab)
+        stop = min(start + step, len(samples))
+        block = model.predict(samples[start:stop], frames[start:stop])
+        rows = slice(gt.starts[start], gt.starts[stop])
+        pick[rows] = block[gt.seg[rows] - start, gt.query[rows], gt.frame[rows]]
+    ious = _ious(samples, gt)
+    report = _report(ious[np.arange(len(pick)), pick] > IOU_THRESHOLD, gt.label, vocab)
+    report.upper_bound = _bound(ious, gt.label, vocab)
     return report
 
 

@@ -27,27 +27,29 @@ from .tensor import ShapeError, Tensor
 
 def similarity_cube(Q, P, n_frames):
     """Q: (1+K', ..., O, d) query blocks; P: (1+K, ..., n_frames*N, d) proposal
-    blocks, frame-major, N per frame -> a[j, ..., k, t, i] in (0,1) of shape
-    (1+K+K', ..., O, n_frames, N), pairings laid out as T.similarity's.
+    blocks, frame-major, N per frame -> a[j, ..., k, t*N + i] in (0,1) of
+    shape (1+K+K', ..., O, n_frames*N), pairings laid out as T.similarity's.
+    The block stays flat: frame_scores splits it into frames.
     """
     rows = P.data.shape[-2]
     if n_frames < 1 or rows % n_frames:
         raise ShapeError(f"{rows} proposal rows do not split into {n_frames} frames")
-    a = T.similarity(Q, P)                             # (..., O, rows)
-    return T.reshape(a, a.data.shape[:-1] + (n_frames, rows // n_frames))
+    return T.similarity(Q, P)
 
 
-def frame_scores(a, mask=None):
-    """C_t = (1/O) sum_k max_i a[..., k, t, i] for every frame, a (..., T) tensor;
-    mask: (..., O) real-query booleans, or None when every query is real."""
-    frame_max, _ = T.max_last(a)                       # (..., O, T)
+def frame_scores(a, n_frames, mask=None):
+    """C_t = (1/O) sum_k max_i a[..., k, t*N + i] for every frame, a (..., T)
+    tensor, from a flat (..., O, n_frames*N) block; mask: (..., O) real-query
+    booleans, or None when every query is real."""
+    per_frame = T.reshape(a, a.data.shape[:-1] + (n_frames, -1))
+    frame_max, _ = T.max_last(per_frame)               # (..., O, T)
     return T.masked_mean(frame_max, -2, None if mask is None else mask[..., None])
 
 
 def segment_score(a, mask=None):
-    """Segment-level matching score: mean_k max_{t,i} a[..., k, t, i], shape (...)."""
-    flat = T.reshape(a, a.data.shape[:-2] + (a.data.shape[-2] * a.data.shape[-1],))
-    best, _ = T.max_last(flat)                         # (..., O)
+    """Segment-level matching score: mean_k max_j a[..., k, j] over the flat
+    (..., O, T*N) block, shape (...)."""
+    best, _ = T.max_last(a)                            # (..., O)
     return T.masked_mean(best, -1, mask)
 
 

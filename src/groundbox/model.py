@@ -82,14 +82,14 @@ class GroundingModel:
         encoded = self.prop_enc.encode(stack_features(blocks), keep[0] if keep else None)
         B, d = len(batch), encoded.data.shape[1]
         P = T.reshape(encoded, (1 + n_vis, B, encoded.data.shape[0] // len(blocks), d))
-        a = G.similarity_cube(Q, P, Tn)                 # (1+K+K', B, O, T, N)
+        a = G.similarity_cube(Q, P, Tn)                 # (1+K+K', B, O, T*N)
         # the positive and visual pairings score Q[0], sentence negative j Q[j]
         pair_mask = mask[[0] * (1 + n_vis) + list(range(1, 1 + n_sent))]
 
         if mode is LossMode.DVSA:
             return G.dvsa_segment_loss(G.segment_score(a, pair_mask), cfg.delta)
 
-        c = G.frame_scores(a, pair_mask)                # (1+K+K', B, T)
+        c = G.frame_scores(a, Tn, pair_mask)            # (1+K+K', B, T)
         rank_vec = G.frame_ranking_loss(c, cfg.delta)
         if mode is LossMode.LOSS_WEIGHTING:
             return G.weighted_segment_loss(T.take(c, 0), rank_vec, cfg.lam)
@@ -150,41 +150,49 @@ class GroundingModel:
     # ------------------------------------------------------------------
     # inference
 
-    def predict(self, segments):
-        """Ground every query of each segment at each frame that carries a gt
-        record (every frame of a segment without one), in one no_grad pass.
+    def predict(self, segments, frames=None):
+        """Ground every query of each segment at each of its frames, in one
+        no_grad pass.
 
-        Proposal rows of all segments go through the MLP as one block, are
-        scattered into a (B, F_max*N, d) block padded with whole zero frames,
-        and meet the padded queries in one similarity cube. Returns, per
-        segment, an (O, F) np.intp array of the chosen proposal of query k at
-        frame f, -1 at the frames it did not score; ties take the lowest index.
+        frames: per segment, the distinct frame indices to score; None scores
+        the frames that carry a gt record (every frame of a segment without
+        one). Proposal rows of all segments go through the MLP as one block,
+        are scattered into a (B, W*N, d) block padded with whole zero frames
+        (W: the most frames a segment scores), and meet the padded queries in
+        one similarity cube. Returns one (B, O_max, F_max) np.intp block:
+        block[b, k, f] is the chosen proposal of query k at frame f of
+        segment b, -1 at frames it did not score and at padded queries and
+        frames; ties take the lowest index.
         """
-        if not segments:
-            return []
+        B = len(segments)
+        if not B:
+            return np.empty((0, 0, 0), dtype=np.intp)
         N = segments[0].frames.shape[1]
         if any(seg.frames.shape[1] != N for seg in segments):
             raise ShapeError("every segment of a predict batch needs the same "
                              "number of proposals per frame")
-        frames = [np.unique(seg.gt["frame"]) if seg.gt is not None and len(seg.gt)
-                  else np.arange(seg.n_frames) for seg in segments]
-        counts = np.array([len(f) for f in frames]) * N      # proposal rows per segment
-        width = counts.max()
+        if frames is None:
+            frames = [np.unique(seg.gt["frame"]) if seg.gt is not None and len(seg.gt)
+                      else np.arange(seg.n_frames) for seg in segments]
+        scored = np.array([len(f) for f in frames])      # frames per segment
+        W = scored.max()
+        real = np.arange(W) < scored[:, None]            # (B, W) scored frames
         with no_grad():
-            Q, _ = self._queries([[seg.query_labels for seg in segments]])
+            Q, mask = self._queries([[seg.query_labels for seg in segments]])
             encoded = self.prop_enc.encode(stack_features(zip(segments, frames))).data
-            P = np.zeros((1, len(segments), width, encoded.shape[1]))
-            P[0, np.arange(width) < counts[:, None]] = encoded
-            a = G.similarity_cube(Q, Tensor(P), width // N).data[0]
-        # (B, O, F_max); padding is whole frames, so np.argmax still takes
-        # the lowest index on ties
-        pick = np.argmax(a, axis=-1)
-        out = []
-        for seg, f, p in zip(segments, frames, pick):
-            picks = np.full((len(seg.query_labels), seg.n_frames), -1, dtype=np.intp)
-            picks[:, f] = p[:len(seg.query_labels), :len(f)]
-            out.append(picks)
-        return out
+            d = encoded.shape[1]
+            P = np.zeros((1, B, W, N, d))
+            P[0, real] = encoded.reshape(-1, N, d)
+            a = G.similarity_cube(Q, Tensor(P.reshape(1, B, W * N, d)), W).data
+        O = mask.shape[-1]
+        # (B, O, W); padding is whole frames, so np.argmax still takes the
+        # lowest index on ties
+        pick = np.argmax(a[0].reshape(B, O, W, N), axis=-1)
+        pick[~mask[0]] = -1
+        block = np.full((B, O, max(seg.n_frames for seg in segments)), -1, dtype=np.intp)
+        block.swapaxes(1, 2)[np.repeat(np.arange(B), scored), np.concatenate(frames)] = \
+            pick.swapaxes(1, 2)[real]
+        return block
 
 
 def stack_features(blocks):

@@ -5,9 +5,7 @@ array (proposal features, as stored) keeps it, and an op that reads it
 computes in float64. Operations executed while a Tape is active are
 recorded in execution (topological) order; ``backward`` walks the tape
 once in reverse and accumulates gradients into every tensor that requires
-them. The 20 ops are the ones the model runs, and ``relu``: the model
-calls it only inside ``mlp``, but the composed reference that ``mlp`` is
-tested against and the autodiff demo are built from it. The loss's two
+them. The 19 ops are the ones the model runs. The loss's two
 primitives are one node each: ``hinge`` sums the margin ranking hinge
 max(0, neg - pos + delta) over a negatives axis and ``penalty`` is the frame
 penalty -log 2c. The only operator sugar is ``@`` (matmul), and negation is
@@ -358,16 +356,6 @@ def similarity(q, p):
             _accumulate(p, gp)
 
     return _record("similarity", out, (q, p), bwd)
-
-
-def relu(x):
-    mask = x.data > 0  # subgradient at 0 is 0
-    out = Tensor(np.where(mask, x.data, 0.0))
-
-    def bwd(g):
-        _accumulate(x, g * mask)
-
-    return _record("relu", out, (x,), bwd)
 
 
 def hinge(s, delta):

@@ -27,8 +27,10 @@ from groundbox.train import train
 
 
 def _frame_scores(*pairings):
-    """C_t of (O, T, N) scores, one row per pairing: the positive, then each negative."""
-    return G.frame_scores(Tensor(np.asarray(pairings, dtype=np.float64)))
+    """C_t of (O, T, N) scores, one row per pairing: the positive, then each
+    negative; similarity_cube lays each pairing out flat, (O, T*N)."""
+    a = np.asarray(pairings, dtype=np.float64)
+    return G.frame_scores(Tensor(a.reshape(a.shape[:2] + (-1,))), a.shape[2])
 
 
 # --------------------------------------------------------------------------

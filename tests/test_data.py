@@ -116,8 +116,8 @@ def _splits_digest(splits):
         for seg in splits[split]:
             h.update(seg.segment_id.encode())
             h.update(np.asarray(seg.query_labels, dtype="<i8").tobytes())
-            h.update(np.ascontiguousarray(seg.frames.feature).tobytes())
-            h.update(np.ascontiguousarray(seg.frames.box).tobytes())
+            h.update(np.ascontiguousarray(seg.frames["feature"]).tobytes())
+            h.update(np.ascontiguousarray(seg.frames["box"]).tobytes())
             if seg.gt is not None:
                 for column, dtype in (("query", "<i8"), ("frame", "<i8"), ("box", "<f8")):
                     h.update(np.ascontiguousarray(seg.gt[column], dtype=dtype).tobytes())
@@ -251,6 +251,26 @@ def test_save_load_round_trip(tmp_path):
             if a.gt is not None:
                 assert [(g.query, g.frame, g.box.tolist()) for g in a.gt] == \
                        [(g.query, g.frame, g.box.tolist()) for g in b.gt]
+
+
+def test_splits_hold_plain_record_arrays(tmp_path):
+    # frames and gt are plain ndarrays read by field; a single record still
+    # reads by attribute, as bench/pipeline.py and demo 03 read it
+    vocab, generated = generate_synthetic(SMALL)
+    save_segments(tmp_path, vocab, generated)
+    _, loaded = load_segments(tmp_path)
+    for splits in (generated, loaded):
+        for seg in (segs[0] for segs in splits.values()):
+            assert type(seg.frames) is np.ndarray
+            assert seg.frames["feature"].shape == (6, SMALL.N, SMALL.D_in)
+            p = seg.frames[1][2]
+            assert np.array_equal(p.feature, seg.frames["feature"][1, 2])
+            assert np.array_equal(p.box, seg.frames["box"][1, 2])
+            if seg.gt is not None:
+                assert type(seg.gt) is np.ndarray
+                g = seg.gt[-1]
+                assert (g.query, g.frame, g.box.tolist()) == (
+                    seg.gt["query"][-1], seg.gt["frame"][-1], seg.gt["box"][-1].tolist())
 
 
 def test_save_is_byte_deterministic(tmp_path):

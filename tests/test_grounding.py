@@ -12,14 +12,20 @@ from groundbox.tensor import ShapeError, Tensor
 
 
 def _cube(*pairings):
-    """A (P, O, T, N) score block from the (O, T, N) arrays of P pairings:
-    the positive, then each negative."""
-    return Tensor(np.asarray(pairings, dtype=np.float64))
+    """The flat (P, O, T*N) score block, as similarity_cube lays it out, of
+    the (O, T, N) arrays of P pairings: the positive, then each negative."""
+    a = np.asarray(pairings, dtype=np.float64)
+    return Tensor(a.reshape(a.shape[:2] + (-1,)))
+
+
+def _scores(*pairings, mask=None):
+    """C_t of every pairing's (O, T, N) scores, a (P, T) tensor."""
+    return G.frame_scores(_cube(*pairings), np.shape(pairings)[2], mask)
 
 
 def _frame_scores(values):
     """C_t of one pairing's (O, T, N) scores, a (T,) tensor."""
-    return T.take(G.frame_scores(_cube(values)), 0)
+    return T.take(_scores(values), 0)
 
 
 def test_similarity_cube_matches_sigmoid_of_scaled_dots():
@@ -28,9 +34,9 @@ def test_similarity_cube_matches_sigmoid_of_scaled_dots():
     Q = Tensor(rng.standard_normal((1, 2, d)))
     P = Tensor(rng.standard_normal((1, 5 * 3, d)))  # 5 frames of 3 proposals
     a = G.similarity_cube(Q, P, 5)
-    assert a.shape == (1, 2, 5, 3)
+    assert a.shape == (1, 2, 5 * 3)
     want = 1.0 / (1.0 + np.exp(-(Q.data[0] @ P.data[0, 3:6].T) / math.sqrt(d)))
-    assert np.allclose(a.data[0, :, 1, :], want)
+    assert np.allclose(a.data[0, :, 3:6], want)
     assert np.all(a.data > 0) and np.all(a.data < 1)
 
 
@@ -39,7 +45,7 @@ def test_similarity_cube_stacks_positive_then_visual_then_sentence_pairings():
     Q = Tensor(rng.standard_normal((3, 2, 4)))      # positive + 2 sentence negatives
     P = Tensor(rng.standard_normal((2, 2 * 3, 4)))  # positive + 1 visual negative
     a = G.similarity_cube(Q, P, 2)
-    assert a.shape == (4, 2, 2, 3)
+    assert a.shape == (4, 2, 2 * 3)
     for j, (q, p) in enumerate([(0, 0), (0, 1), (1, 0), (2, 0)]):
         alone = G.similarity_cube(Tensor(Q.data[q:q + 1]), Tensor(P.data[p:p + 1]), 2)
         assert np.array_equal(a.data[j], alone.data[0])
@@ -63,10 +69,10 @@ def test_segment_score_max_over_frames_and_proposals():
 
 def test_scores_leave_padded_queries_out():
     # query 1 of the second pairing is padding: its 0.99 counts nowhere
-    a = _cube([[[0.6]], [[0.2]]], [[[0.4]], [[0.99]]])
+    pairings = [[[0.6]], [[0.2]]], [[[0.4]], [[0.99]]]
     mask = np.array([[True, True], [True, False]])
-    assert np.allclose(G.frame_scores(a, mask).data, [[0.4], [0.4]])
-    assert np.allclose(G.segment_score(a, mask).data, [0.4, 0.4])
+    assert np.allclose(_scores(*pairings, mask=mask).data, [[0.4], [0.4]])
+    assert np.allclose(G.segment_score(_cube(*pairings), mask).data, [0.4, 0.4])
 
 
 def test_penalty_fixed_points():
@@ -91,14 +97,14 @@ def test_penalty_clamps_instead_of_exploding():
 def test_frame_ranking_loss_hand_example():
     # S_pos = 0.9, one visual neg 0.5 (inactive), one sentence neg 0.85:
     # max(0, .5-.9+.1) + max(0, .85-.9+.1) = 0 + 0.05
-    c = G.frame_scores(_cube([[[0.9]]], [[[0.5]]], [[[0.85]]]))
+    c = _scores([[[0.9]]], [[[0.5]]], [[[0.85]]])
     out = G.frame_ranking_loss(c, delta=0.1)
     assert out.shape == (1,)
     assert abs(out.data[0] - 0.05) < 1e-12
 
 
 def test_frame_ranking_loss_nonnegative_and_zero_when_dominated():
-    c = G.frame_scores(_cube([[[0.99]]], [[[0.01]]], [[[0.01]]]))
+    c = _scores([[[0.99]]], [[[0.01]]], [[[0.01]]])
     out = G.frame_ranking_loss(c, delta=0.1)
     assert out.data[0] == 0.0
 
@@ -239,7 +245,7 @@ def test_losses_differentiable_end_to_end():
     feats = Tensor(rng.standard_normal((2, 4 * 3, d)))  # + a visual neg; 4 frames of 3
 
     def f():
-        c = G.frame_scores(G.similarity_cube(Q, feats, 4))
+        c = G.frame_scores(G.similarity_cube(Q, feats, 4), 4)
         rank = G.frame_ranking_loss(c, delta=0.5)
         return G.weighted_segment_loss(T.take(c, 0), rank, 0.9)
 

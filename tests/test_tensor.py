@@ -178,12 +178,15 @@ def test_softmax_rows_sum_to_one(m, n, seed):
 
 
 def test_relu_and_subgradient_at_zero():
-    x = Tensor([-3.0, 0.0, 2.0], requires_grad=True)
+    # mlp's hidden pre-activations are exactly -3, 0 and 2: the relu passes
+    # only the 2, and its subgradient at 0 is 0
+    W1 = Tensor([[-3.0, 0.0, 2.0]], requires_grad=True)
     with Tape():
-        loss = _sum(T.relu(x))
-        backward(loss)
-    assert np.allclose(T.relu(Tensor([-3.0])).data, 0.0)
-    assert np.allclose(x.grad, [0.0, 0.0, 1.0])
+        out = T.mlp(Tensor([[1.0]]), W1, Tensor(np.zeros(3)), Tensor(np.ones((3, 1))),
+                    Tensor([0.0]))
+        backward(_sum(out))
+    assert out.data.tolist() == [[2.0]]
+    assert W1.grad.tolist() == [[0.0, 0.0, 1.0]]
 
 
 def test_hinge_values_and_subgradient_at_zero():
@@ -318,9 +321,10 @@ def test_finite_diff_composed_graph():
     W = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
     b = Tensor(rng.standard_normal(3), requires_grad=True)
     x = Tensor(rng.standard_normal((5, 4)))
+    W2, b2 = Tensor(rng.standard_normal((3, 3))), Tensor(rng.standard_normal(3))
 
     def f():
-        h = T.relu(T.add_rowvec(x @ W, b))
+        h = T.mlp(x, W, b, W2, b2)
         s = _softmax_rows(T.sigmoid(h))
         m, _ = T.max_last(s)
         return T.mean_all(T.penalty(m))
@@ -467,7 +471,7 @@ def test_take_repeated_indices_sum_and_unique_indices_assign():
 
 
 # Gradient property test for every op that records a tape node. Inputs keep
-# clear of the kinks of relu and hinge (0) and of ties in max_last, so
+# clear of the kink of hinge (0) and of ties in max_last, so
 # central differences are exact up to rounding; penalty gets inputs clear of
 # its floor and layer_norm_rows rows with spread. matmul and
 # multi_head_attention have their own property tests above.
@@ -505,7 +509,6 @@ GRAD_CASES = {
     "similarity": ([lambda rng, shape: _normal(rng, (3, 2) + shape),
                     lambda rng, shape: _normal(rng, (3, 2, shape[0] + 1, shape[1]))],
                    T.similarity),
-    "relu": ([_off_zero], T.relu),
     # a positive row and two negatives; neg - pos + delta is at least 0.06
     # away from the kink
     "hinge": ([lambda rng, shape: np.concatenate([rng.uniform(-0.04, 0.04, (1,) + shape),
@@ -598,8 +601,10 @@ def test_op_gradients_match_central_differences(name, m, n, flags, seed):
 
 
 def _mlp_reference(x, W1, b1, W2, b2, keep, p):
-    """mlp as the ops it fuses."""
-    return T.add_rowvec(T.relu(T.dropout(T.add_rowvec(x @ W1, b1), keep, p)) @ W2, b2)
+    """mlp as the ops it fuses, its relu as the product with the 0/1 mask of
+    the positive entries (subgradient 0 at 0)."""
+    z = T.dropout(T.add_rowvec(x @ W1, b1), keep, p)
+    return T.add_rowvec(T.mul(z, Tensor((z.data > 0).astype(np.float64))) @ W2, b2)
 
 
 @settings(max_examples=30, deadline=None)
