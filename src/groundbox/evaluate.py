@@ -95,17 +95,6 @@ def _gt_index(samples):
                     np.cumsum([0] + counts))
 
 
-def _scored_frames(samples, gt):
-    """Per segment, the sorted distinct frames of its gt records, or every
-    frame of a segment without any: the frames predict scores by default."""
-    width = max(seg.n_frames for seg in samples)
-    keys = np.unique(gt.seg * width + gt.frame)
-    cuts = np.searchsorted(keys, np.arange(len(samples) + 1) * width).tolist()
-    frames = keys % width
-    return [frames[lo:hi] if hi > lo else np.arange(seg.n_frames)
-            for seg, lo, hi in zip(samples, cuts[:-1], cuts[1:])]
-
-
 def _ious(samples, gt):
     """(R, N): the IoU of every proposal at a gt record's frame with its box."""
     first_frame = np.cumsum([0] + [seg.n_frames for seg in samples[:-1]])
@@ -164,21 +153,20 @@ def evaluate_model(model, samples, vocab=None):
     """Ground every gt (query, frame) with the model and report box accuracy
     and the proposal upper bound, both read from one IoU matrix of the split.
 
-    The model predicts config.batch segments per pass, at the frames that
-    carry a gt record (every frame of a segment without one), so no eval
-    block is larger than a training minibatch.
+    The model predicts config.batch segments per pass at its default frames
+    (model.scored_frames), so no eval block is larger than a training
+    minibatch.
     """
     if vocab is None:  # synthetic in-memory runs know only the vocab ids
         vocab = [f"label{i:03d}" for i in range(model.config.V)]
     gt = _gt_index(samples)
     if gt is None:
         return EvalReport(upper_bound=0.0)
-    frames = _scored_frames(samples, gt)
     pick = np.empty(len(gt.seg), dtype=np.intp)   # the chosen proposal of each record
     step = model.config.batch
     for start in range(0, len(samples), step):
         stop = min(start + step, len(samples))
-        block = model.predict(samples[start:stop], frames[start:stop])
+        block = model.predict(samples[start:stop])
         rows = slice(gt.starts[start], gt.starts[stop])
         pick[rows] = block[gt.seg[rows] - start, gt.query[rows], gt.frame[rows]]
     ious = _ious(samples, gt)

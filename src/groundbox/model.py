@@ -155,14 +155,13 @@ class GroundingModel:
         no_grad pass.
 
         frames: per segment, the distinct frame indices to score; None scores
-        the frames that carry a gt record (every frame of a segment without
-        one). Proposal rows of all segments go through the MLP as one block,
-        are scattered into a (B, W*N, d) block padded with whole zero frames
-        (W: the most frames a segment scores), and meet the padded queries in
-        one similarity cube. Returns one (B, O_max, F_max) np.intp block:
-        block[b, k, f] is the chosen proposal of query k at frame f of
-        segment b, -1 at frames it did not score and at padded queries and
-        frames; ties take the lowest index.
+        scored_frames(segments). Proposal rows of all segments go through the
+        MLP as one block, are scattered into a (B, W*N, d) block padded with
+        whole zero frames (W: the most frames a segment scores), and meet the
+        padded queries in one similarity cube. Returns one (B, O_max, F_max)
+        np.intp block: block[b, k, f] is the chosen proposal of query k at
+        frame f of segment b, -1 at frames it did not score and at padded
+        queries and frames; ties take the lowest index.
         """
         B = len(segments)
         if not B:
@@ -172,8 +171,7 @@ class GroundingModel:
             raise ShapeError("every segment of a predict batch needs the same "
                              "number of proposals per frame")
         if frames is None:
-            frames = [np.unique(seg.gt["frame"]) if seg.gt is not None and len(seg.gt)
-                      else np.arange(seg.n_frames) for seg in segments]
+            frames = scored_frames(segments)
         scored = np.array([len(f) for f in frames])      # frames per segment
         W = scored.max()
         real = np.arange(W) < scored[:, None]            # (B, W) scored frames
@@ -193,6 +191,21 @@ class GroundingModel:
         block.swapaxes(1, 2)[np.repeat(np.arange(B), scored), np.concatenate(frames)] = \
             pick.swapaxes(1, 2)[real]
         return block
+
+
+def scored_frames(segments):
+    """Per segment, the sorted distinct frames of its gt records, or every
+    frame of a segment without any: the frames predict scores by default.
+    One np.unique over segment * F_max + frame serves the whole list."""
+    width = max(seg.n_frames for seg in segments)
+    gts = [np.empty(0, dtype=np.intp) if seg.gt is None else seg.gt["frame"]
+           for seg in segments]
+    keys = np.unique(np.repeat(np.arange(len(segments)) * width, [len(f) for f in gts])
+                     + np.concatenate(gts))
+    cuts = np.searchsorted(keys, np.arange(len(segments) + 1) * width).tolist()
+    frames = keys % width
+    return [frames[lo:hi] if hi > lo else np.arange(seg.n_frames)
+            for seg, lo, hi in zip(segments, cuts[:-1], cuts[1:])]
 
 
 def stack_features(blocks):

@@ -23,7 +23,7 @@ from groundbox.data import (GT_DTYPE, DataError, IntegrityError, SamplingError,
 from groundbox.encoders import ProposalEncoder
 from groundbox.evaluate import (EvalReport, box_accuracy, evaluate_model, iou,
                                 per_class_delta, upper_bound)
-from groundbox.model import GroundingModel, load_into_model
+from groundbox.model import GroundingModel, load_into_model, scored_frames
 from groundbox.tensor import ConfigError, ShapeError, Tape, Tensor, backward
 from groundbox.train import (NesterovSGD, _check_nan, checkpoint_load,
                              checkpoint_save, train)
@@ -184,9 +184,23 @@ def test_predict_takes_lowest_index_on_ties():
     assert (block[0, :, f] == 0).all()
 
 
+def test_scored_frames_are_the_sorted_gt_frames_or_every_frame():
+    _, splits = generate_synthetic(TINY.replace(frames_per_segment=5))
+    seg = splits["test"][0]
+    gt = np.zeros(4, dtype=GT_DTYPE)
+    gt["frame"] = [3, 0, 3, 4]
+    segments = [SegmentSample("gt", "test", seg.query_labels, seg.frames, gt),
+                SegmentSample("none", "test", seg.query_labels, seg.frames[:3]),
+                SegmentSample("empty", "test", seg.query_labels, seg.frames[:4], gt[:0])]
+    assert [f.tolist() for f in scored_frames(segments)] == [[0, 3, 4], [0, 1, 2],
+                                                             [0, 1, 2, 3]]
+    assert [f.tolist() for f in scored_frames(segments[1:])] == [[0, 1, 2], [0, 1, 2, 3]]
+
+
 def test_predict_scores_the_frames_it_is_given():
-    # explicit gt frames are frames=None; every frame fills every real
-    # column; query and frame padding reads -1 either way
+    # a chosen subset is scored exactly; every frame fills every real column
+    # and agrees with the default at the frames both score; query and frame
+    # padding reads -1 either way
     _, splits = generate_synthetic(TINY.replace(frames_per_segment=5))
     short = splits["test"][1]
     short = SegmentSample("short", "test", short.query_labels[:1], short.frames[:3],
@@ -195,14 +209,17 @@ def test_predict_scores_the_frames_it_is_given():
     model = GroundingModel(TINY, np.random.default_rng(1))
     default = model.predict(segments)
     _check_block(segments, default)
-    gt_frames = [np.unique(s.gt["frame"]) if s.gt is not None and len(s.gt)
-                 else np.arange(s.n_frames) for s in segments]
-    assert np.array_equal(model.predict(segments, gt_frames), default)
+    chosen = [[1, 3], [2], [0, 4]]
+    subset = model.predict(segments, [np.array(f) for f in chosen])
+    by_id = {seg.segment_id: f for seg, f in zip(segments, chosen)}
+    _check_block(segments, subset,
+                 lambda seg: np.isin(np.arange(seg.n_frames), by_id[seg.segment_id]))
     every = model.predict(segments, [np.arange(s.n_frames) for s in segments])
     _check_block(segments, every, lambda seg: np.ones(seg.n_frames, dtype=bool))
     assert (every[1, 1:] == -1).all() and (every[1, :, 3:] == -1).all()
-    scored = default >= 0
-    assert np.array_equal(every[scored], default[scored])
+    for block in (default, subset):
+        scored = block >= 0
+        assert np.array_equal(every[scored], block[scored])
 
 
 _, PREDICT_SPLITS = generate_synthetic(TINY.replace(test_segments=8))
