@@ -56,11 +56,9 @@ class _AttentionLayer:
         outputs, each of x's shape or None (no dropout)."""
         attn = scaled_dot_attention(x @ self.Wq, x @ self.Wk, x @ self.Wv,
                                     heads=self.n_heads, key_mask=mask) @ self.Wo
-        x = T.layer_norm_rows(T.add(x, T.dropout(attn, keep[0], self.p_drop)),
-                              self.ln1_g, self.ln1_b)
+        x = T.residual_norm(x, attn, self.ln1_g, self.ln1_b, keep[0], self.p_drop)
         ff = T.mlp(x, self.W1, self.b1, self.W2, self.b2)
-        return T.layer_norm_rows(T.add(x, T.dropout(ff, keep[1], self.p_drop)),
-                                 self.ln2_g, self.ln2_b)
+        return T.residual_norm(x, ff, self.ln2_g, self.ln2_b, keep[1], self.p_drop)
 
     def params(self, prefix):
         out = {f"{prefix}.Wq": self.Wq, f"{prefix}.Wk": self.Wk,

@@ -206,26 +206,20 @@ def generate_synthetic(config, seed=None):
 # --------------------------------------------------------------------------
 # sampling
 
-def sample_frames(n_frames, T, mode, rng=None):
-    """Divide a segment evenly into T clips and pick one frame per clip.
-
-    Train mode picks uniformly within each clip; eval mode picks the clip
-    center floor((start+end)/2). Segments shorter than T repeat the last
-    frame as padding.
+def sample_frames(n_frames, T, rng):
+    """Divide a segment evenly into T clips and draw one frame uniformly
+    within each clip. Segments shorter than T repeat the last frame as
+    padding.
     """
     if T < 1:
         raise ConfigError(f"frame count T must be >= 1, got {T}")
     if n_frames < T:
         log.warning("segment has %d frames < T=%d; padding with last frame",
                     n_frames, T)
-        base = sample_frames(n_frames, n_frames, mode, rng)
+        base = sample_frames(n_frames, n_frames, rng)
         return base + [n_frames - 1] * (T - n_frames)
     bounds = [n_frames * i // T for i in range(T + 1)]
-    if mode == "eval":
-        return [(lo + hi) // 2 for lo, hi in zip(bounds[:-1], bounds[1:])]
-    if mode == "train":
-        return [int(rng.integers(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    raise ConfigError(f"unknown sampling mode {mode!r}")
+    return [int(rng.integers(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def label_members(pool):

@@ -155,12 +155,13 @@ class GroundingModel:
         no_grad pass.
 
         frames: per segment, the distinct frame indices to score; None scores
-        scored_frames(segments). Proposal rows of all segments go through the
-        MLP as one block, are scattered into a (B, W*N, d) block padded with
-        whole zero frames (W: the most frames a segment scores), and meet the
-        padded queries in one similarity cube. Returns one (B, O_max, F_max)
-        np.intp block: block[b, k, f] is the chosen proposal of query k at
-        frame f of segment b, -1 at frames it did not score and at padded
+        scored_frames(segments), and [np.arange(seg.n_frames) for seg in
+        segments] scores every frame. Proposal rows of all segments go through
+        the MLP as one block, are scattered into a (B, W*N, d) block padded
+        with whole zero frames (W: the most frames a segment scores), and meet
+        the padded queries in one similarity cube. Returns one (B, O_max,
+        F_max) np.intp block: block[b, k, f] is the chosen proposal of query k
+        at frame f of segment b, -1 at frames it did not score and at padded
         queries and frames; ties take the lowest index.
         """
         B = len(segments)
@@ -174,6 +175,10 @@ class GroundingModel:
             frames = scored_frames(segments)
         scored = np.array([len(f) for f in frames])      # frames per segment
         W = scored.max()
+        block = np.full((B, max(len(seg.query_labels) for seg in segments),
+                         max(seg.n_frames for seg in segments)), -1, dtype=np.intp)
+        if not W:
+            return block
         real = np.arange(W) < scored[:, None]            # (B, W) scored frames
         with no_grad():
             Q, mask = self._queries([[seg.query_labels for seg in segments]])
@@ -187,16 +192,15 @@ class GroundingModel:
         # lowest index on ties
         pick = np.argmax(a[0].reshape(B, O, W, N), axis=-1)
         pick[~mask[0]] = -1
-        block = np.full((B, O, max(seg.n_frames for seg in segments)), -1, dtype=np.intp)
         block.swapaxes(1, 2)[np.repeat(np.arange(B), scored), np.concatenate(frames)] = \
             pick.swapaxes(1, 2)[real]
         return block
 
 
 def scored_frames(segments):
-    """Per segment, the sorted distinct frames of its gt records, or every
-    frame of a segment without any: the frames predict scores by default.
-    One np.unique over segment * F_max + frame serves the whole list."""
+    """Per segment, the sorted distinct frames of its gt records (none for a
+    segment without any): the frames predict scores by default. One
+    np.unique over segment * F_max + frame serves the whole list."""
     width = max(seg.n_frames for seg in segments)
     gts = [np.empty(0, dtype=np.intp) if seg.gt is None else seg.gt["frame"]
            for seg in segments]
@@ -204,8 +208,7 @@ def scored_frames(segments):
                      + np.concatenate(gts))
     cuts = np.searchsorted(keys, np.arange(len(segments) + 1) * width).tolist()
     frames = keys % width
-    return [frames[lo:hi] if hi > lo else np.arange(seg.n_frames)
-            for seg, lo, hi in zip(segments, cuts[:-1], cuts[1:])]
+    return [frames[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
 
 
 def stack_features(blocks):

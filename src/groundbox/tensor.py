@@ -5,12 +5,13 @@ array (proposal features, as stored) keeps it, and an op that reads it
 computes in float64. Operations executed while a Tape is active are
 recorded in execution (topological) order; ``backward`` walks the tape
 once in reverse and accumulates gradients into every tensor that requires
-them. The 19 ops are the ones the model runs. The loss's two
+them. The 18 ops are the ones the model runs. The loss's two
 primitives are one node each: ``hinge`` sums the margin ranking hinge
 max(0, neg - pos + delta) over a negatives axis and ``penalty`` is the frame
-penalty -log 2c. The only operator sugar is ``@`` (matmul), and negation is
-``scale(x, -1.0)``. Nothing in a graph draws random numbers: ``dropout``
-applies a boolean keep-mask planned before the forward pass.
+penalty -log 2c. So is each attention sublayer's ``residual_norm``,
+layer_norm(x + dropout(y)). The only operator sugar is ``@`` (matmul), and
+negation is ``scale(x, -1.0)``. Nothing in a graph draws random numbers:
+dropout applies a boolean keep-mask planned before the forward pass.
 
 Both two-layer MLPs (the proposal encoder and the attention feed-forward)
 run as one ``mlp`` node, ``relu(dropout(x W1 + b1)) W2 + b2``. It upcasts a
@@ -29,14 +30,11 @@ padded keys zero weight, so padding changes neither a value nor an adjoint.
 The active tape is per context (a ``contextvars.ContextVar``): a ``Tape``
 or ``no_grad`` entered in one thread leaves recording in every other
 thread untouched. A tape and its tensors belong to the context that
-recorded them.
-
-A recorded tensor refers to its tape through a weak reference, so the tape
+recorded them. ``backward`` walks the active tape, so it runs inside the
+tape's ``with`` block. Tensors hold no reference to their tape, so the tape
 (which holds every node and, through the nodes' closures, every activation)
-forms no reference cycle with its tensors: it is freed by reference
-counting as soon as nothing names it, normally when its ``with`` block
-ends. Run ``backward`` inside that block, or keep the tape
-(``with Tape() as tape:``).
+is freed by reference counting as soon as nothing names it, normally when
+its ``with`` block ends.
 
 A node's backward computes an adjoint only for the inputs that have
 ``requires_grad``; the adjoint of a constant operand is never formed. The
@@ -49,7 +47,6 @@ shared grad makes a fresh array, so no write reaches another tensor's grad.
 
 import contextvars
 import math
-import weakref
 
 import numpy as np
 
@@ -73,7 +70,6 @@ class Tape:
 
     def __init__(self):
         self.nodes = []
-        self.ref = weakref.ref(self)  # what recorded tensors hold
 
     def __enter__(self):
         self._token = _ACTIVE_TAPE.set(self)
@@ -106,7 +102,7 @@ class _Node:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_tape_ref")
+    __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad=False):
         # a float32 constant (proposal features) stays float32; ops that
@@ -116,12 +112,6 @@ class Tensor:
         self.data = data
         self.grad = None
         self.requires_grad = requires_grad
-        self._tape_ref = None
-
-    @property
-    def tape(self):
-        """The live tape that recorded this tensor, or None (never recorded, or freed)."""
-        return None if self._tape_ref is None else self._tape_ref()
 
     @property
     def shape(self):
@@ -161,20 +151,30 @@ def _record(name, out, inputs, backward_fn):
     if tape is None or not any(t.requires_grad for t in inputs):
         return out
     out.requires_grad = True
-    out._tape_ref = tape.ref
     tape.nodes.append(_Node(name, out, backward_fn))
     return out
 
 
 def backward(loss):
-    """Accumulate d(loss)/d(leaf) into every requires_grad tensor on the tape."""
+    """Accumulate d(loss)/d(leaf) into every requires_grad tensor on the
+    active tape, walking back from the node that produced loss.
+
+    Raises ShapeError for a loss that is not a scalar or that no node of the
+    active tape produced, and FloatingPointError naming the first node whose
+    output is non-finite when the loss is.
+    """
     if loss.data.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
-    tape = loss.tape
-    if tape is None or not tape.nodes:
-        raise ShapeError("backward called on a tensor with no recorded tape")
+    tape = _ACTIVE_TAPE.get()
+    nodes = [] if tape is None else tape.nodes
+    end = next((i for i in range(len(nodes) - 1, -1, -1) if nodes[i].out is loss), -1)
+    if end < 0:
+        raise ShapeError("backward: no node of the active tape produced this loss")
+    if not np.isfinite(loss.data).all():
+        culprit = next(n.name for n in nodes if not np.isfinite(n.out.data).all())
+        raise FloatingPointError(f"non-finite loss; first offending op: {culprit}")
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape.nodes):
+    for node in reversed(nodes[:end + 1]):
         if node.out.grad is not None:
             node.backward_fn(node.out.grad)
 
@@ -270,12 +270,8 @@ def take(a, indices):
     out = Tensor(a.data[idx])
 
     def bwd(g):
-        distinct = np.unique(idx % len(a.data)).size == idx.size
-        if distinct and a.grad is not None and a.grad.flags.writeable:
-            a.grad[idx] += g  # no row is taken twice: add into the rows in place
-            return
         ga = np.zeros_like(a.data)
-        if distinct:
+        if np.unique(idx % len(a.data)).size == idx.size:
             ga[idx] = g  # assignment is the sum
         else:
             np.add.at(ga, idx, g)
@@ -489,14 +485,27 @@ def masked_mean(x, axis, mask=None):
     return _record("masked_mean", out, (x,), bwd)
 
 
-def layer_norm_rows(x, gain, bias, eps=1e-6):
-    """Normalize each row of a 2-D tensor to zero mean / unit variance, then affine."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"layer_norm_rows expects 2-D, got {x.data.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    sd = np.sqrt(var + eps)
-    xhat = (x.data - mu) / sd
+def residual_norm(x, y, gain, bias, keep=None, p=0.0):
+    """layer_norm(x + dropout(y, keep, p)) of each row, then gain and bias, as
+    one tape node: a residual sublayer of the attention stack.
+
+    x, y: (m, n); gain, bias: (n,). keep: booleans of y's shape, False where
+    dropout zeroes an entry of y, whose survivors are scaled by 1/(1-p); or
+    None (no dropout). Draws nothing.
+    """
+    if not 0.0 <= p < 1.0:
+        raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
+    if x.data.ndim != 2 or y.data.shape != x.data.shape:
+        raise ShapeError(f"residual_norm expects two equal 2-D shapes, got "
+                         f"{x.data.shape} and {y.data.shape}")
+    if keep is not None and keep.shape != y.data.shape:
+        raise ShapeError(f"residual_norm: mask of shape {keep.shape} for input "
+                         f"{y.data.shape}")
+    drop = None if keep is None else np.where(keep, 1.0 / (1.0 - p), 0.0)
+    s = x.data + (y.data if drop is None else y.data * drop)
+    mu = s.mean(axis=-1, keepdims=True)
+    sd = np.sqrt(s.var(axis=-1, keepdims=True) + 1e-6)
+    xhat = (s - mu) / sd
     out = Tensor(xhat * gain.data + bias.data)
 
     def bwd(g):
@@ -504,31 +513,19 @@ def layer_norm_rows(x, gain, bias, eps=1e-6):
             _accumulate(gain, (g * xhat).sum(axis=0))
         if bias.requires_grad:
             _accumulate(bias, g.sum(axis=0))
+        if not (x.requires_grad or y.requires_grad):
+            return
+        dxhat = g * gain.data
+        gs = (dxhat - dxhat.mean(axis=-1, keepdims=True)
+              - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) / sd
+        # without a mask x and y get the same array: neither may own it
+        shared = drop is None and x.requires_grad and y.requires_grad
         if x.requires_grad:
-            dxhat = g * gain.data
-            _accumulate(x, (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) / sd)
+            _accumulate(x, gs, owned=not shared)
+        if y.requires_grad:
+            _accumulate(y, gs if drop is None else gs * drop, owned=not shared)
 
-    return _record("layer_norm", out, (x, gain, bias), bwd)
-
-
-def dropout(x, keep, p):
-    """Inverted dropout with a planned mask: zero the entries whose ``keep``
-    is False and scale the survivors by 1/(1-p). keep: booleans of x's shape,
-    or None (no dropout: x itself). Draws nothing."""
-    if not 0.0 <= p < 1.0:
-        raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
-    if keep is None:
-        return x
-    if keep.shape != x.data.shape:
-        raise ShapeError(f"dropout: mask of shape {keep.shape} for input {x.data.shape}")
-    scale = 1.0 / (1.0 - p)
-    out = Tensor(x.data * np.where(keep, scale, 0.0))
-
-    def bwd(g):
-        _accumulate(x, g * np.where(keep, scale, 0.0))
-
-    return _record("dropout", out, (x,), bwd)
+    return _record("residual_norm", out, (x, y, gain, bias), bwd)
 
 
 # mlp's first product runs over chunks of rows, so a float32 input is upcast

@@ -71,18 +71,6 @@ class NesterovSGD:
         self._ahead = False
 
 
-def _check_nan(loss):
-    if np.isnan(loss.data).any() or np.isinf(loss.data).any():
-        tape = loss.tape
-        culprit = "loss"
-        if tape is not None:
-            for node in tape.nodes:
-                if not np.isfinite(node.out.data).all():
-                    culprit = node.name
-                    break
-        raise FloatingPointError(f"non-finite loss; first offending op: {culprit}")
-
-
 def train(config, splits, out_dir=None, log_every=0):
     """Train a model in the configured mode; returns (model, history).
 
@@ -126,16 +114,14 @@ def train(config, splits, out_dir=None, log_every=0):
                 neg_sents = [sample_negative_sentence(train_set, seg, rng,
                                                       rows).query_labels
                              for _ in range(config.negatives)]
-                frames = sample_frames(seg.n_frames, config.T, "train", rng)
+                frames = sample_frames(seg.n_frames, config.T, rng)
                 batch.append((seg, neg_viss, neg_sents, frames))
                 noise.append(model.draw_dropout(seg, len(neg_viss), len(frames), rng))
             opt.zero_grad()
             opt.lookahead()
             with Tape():
                 seg_losses = model.segment_loss(batch, noise)
-                loss = T.mean_all(seg_losses)
-                _check_nan(loss)
-                backward(loss)
+                backward(T.mean_all(seg_losses))
             losses.extend(seg_losses.data.tolist())
             opt.step()
         train_loss = float(np.mean(losses)) if losses else 0.0

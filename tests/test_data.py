@@ -145,29 +145,23 @@ def test_generation_stream_is_pinned(config, seed, digest):
     assert _splits_digest(generate_synthetic(config, seed)[1]) == digest
 
 
-def test_sample_frames_eval_centers():
-    assert sample_frames(10, 5, "eval") == [1, 3, 5, 7, 9]
-    assert sample_frames(5, 5, "eval") == [0, 1, 2, 3, 4]
-
-
 def test_sample_frames_train_within_clips():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        idx = sample_frames(10, 5, "train", rng)
+        idx = sample_frames(10, 5, rng)
         assert len(idx) == 5
         for j, t in enumerate(idx):
             assert 2 * j <= t < 2 * (j + 1)
 
 
 def test_sample_frames_pads_short_segments():
-    idx = sample_frames(3, 5, "eval")
-    assert len(idx) == 5 and idx[-2:] == [2, 2]
-    assert max(idx) <= 2
+    idx = sample_frames(3, 5, np.random.default_rng(0))
+    assert idx == [0, 1, 2, 2, 2]
 
 
-@given(st.integers(1, 60), st.integers(1, 12))
-def test_sample_frames_eval_sorted_in_range(n, T):
-    idx = sample_frames(n, T, "eval")
+@given(st.integers(1, 60), st.integers(1, 12), st.integers(0, 2**31 - 1))
+def test_sample_frames_eval_sorted_in_range(n, T, seed):
+    idx = sample_frames(n, T, np.random.default_rng(seed))
     assert len(idx) == T
     assert idx == sorted(idx)
     assert all(0 <= t < n for t in idx)

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import math
 import threading
 
@@ -232,7 +233,8 @@ def test_mean():
 def test_layer_norm_rows_rejects_non_2d():
     for shape in [(4,), (2, 2, 4)]:
         with pytest.raises(ShapeError, match="2-D"):
-            T.layer_norm_rows(Tensor(np.ones(shape)), Tensor(np.ones(4)), Tensor(np.zeros(4)))
+            T.residual_norm(Tensor(np.ones(shape)), Tensor(np.ones(shape)),
+                            Tensor(np.ones(4)), Tensor(np.zeros(4)))
 
 
 def test_concat_and_split_gradients():
@@ -245,37 +247,75 @@ def test_concat_and_split_gradients():
     assert np.allclose(b.grad, 2 * b.data)
 
 
+def _residual_inputs():
+    """x and y of shape (3, 4), which need gradients, then gain and bias."""
+    rng = np.random.default_rng(0)
+    return (Tensor(rng.standard_normal((3, 4)), requires_grad=True),
+            Tensor(rng.standard_normal((3, 4)), requires_grad=True),
+            Tensor(rng.standard_normal(4)), Tensor(rng.standard_normal(4)))
+
+
 def test_dropout_eval_mode_is_identity():
-    x = Tensor(np.random.default_rng(0).standard_normal(100))
-    assert T.dropout(x, None, 0.5) is x
+    # without a mask y enters unscaled, whatever p
+    x, y, gain, bias = _residual_inputs()
+    summed = T.residual_norm(Tensor(x.data + y.data), Tensor(np.zeros(x.shape)), gain, bias)
+    assert np.array_equal(T.residual_norm(x, y, gain, bias, None, 0.5).data, summed.data)
 
 
 def test_dropout_p_zero_is_identity():
-    x = Tensor([1.0, 2.0])
-    assert np.array_equal(T.dropout(x, np.array([True, True]), 0.0).data, x.data)
+    x, y, gain, bias = _residual_inputs()
+    keep = np.ones(y.shape, dtype=bool)
+    assert np.array_equal(T.residual_norm(x, y, gain, bias, keep, 0.0).data,
+                          T.residual_norm(x, y, gain, bias).data)
 
 
 def test_dropout_rejects_p_one():
-    with pytest.raises(ConfigError):
-        T.dropout(Tensor([1.0]), np.array([True]), 1.0)
-    with pytest.raises(ConfigError):
-        T.dropout(Tensor([1.0]), None, 1.0)
+    x, y, gain, bias = _residual_inputs()
+    for keep in (np.ones(y.shape, dtype=bool), None):
+        with pytest.raises(ConfigError):
+            T.residual_norm(x, y, gain, bias, keep, 1.0)
 
 
 def test_dropout_rejects_a_mask_of_another_shape():
-    with pytest.raises(ShapeError):
-        T.dropout(Tensor(np.ones((2, 3))), np.ones((3, 2), dtype=bool), 0.5)
+    x, y, gain, bias = _residual_inputs()
+    with pytest.raises(ShapeError, match=r"mask of shape \(4, 3\)"):
+        T.residual_norm(x, y, gain, bias, np.ones((4, 3), dtype=bool), 0.5)
 
 
 def test_dropout_zero_fraction_and_rescale():
+    # the masked entries of y drop out of the sum and get no adjoint; the
+    # survivors are scaled by 1/(1-p), in the value and in the adjoint
     keep = np.arange(12).reshape(3, 4) % 3 != 0
-    x = Tensor(np.arange(1.0, 13.0).reshape(3, 4), requires_grad=True)
+    x, y, gain, bias = _residual_inputs()
+    rescale = np.where(keep, 1 / 0.75, 0.0)
     with Tape():
-        y = T.dropout(x, keep, 0.25)
-        backward(_sum(y))
-    assert np.array_equal(y.data == 0, ~keep)
-    assert np.allclose(y.data[keep], x.data[keep] / 0.75)  # survivors scaled by 1/(1-p)
-    assert np.allclose(x.grad, np.where(keep, 1 / 0.75, 0.0))
+        out = T.residual_norm(x, y, gain, bias, keep, 0.25)
+        backward(_sum(T.mul(out, Tensor(np.arange(12.0).reshape(3, 4)))))
+    summed = T.residual_norm(Tensor(x.data + y.data * rescale), Tensor(np.zeros(x.shape)),
+                             gain, bias)
+    assert np.array_equal(out.data, summed.data)
+    assert np.array_equal(y.grad == 0, ~keep)
+    assert np.array_equal(y.grad, x.grad * rescale)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_residual_norm_adjoints_do_not_share_a_buffer(masked):
+    # x and y get further adjoints after residual_norm's: without a mask both
+    # receive the same array, and an in-place add into one must not reach
+    # the other
+    keep = np.arange(12).reshape(3, 4) % 2 == 0 if masked else None
+    x, y, gain, bias = _residual_inputs()
+    weight = Tensor(np.random.default_rng(1).standard_normal(x.shape))
+    with Tape():
+        backward(_sum(T.mul(T.residual_norm(x, y, gain, bias, keep, 0.5), weight)))
+    alone = x.grad.copy(), y.grad.copy()
+    x.grad = y.grad = None
+    with Tape():
+        later = T.add(T.scale(x, 2.0), T.scale(y, 3.0))   # adjoints reach x, y last
+        out = T.residual_norm(x, y, gain, bias, keep, 0.5)
+        backward(T.add(_sum(T.mul(out, weight)), _sum(later)))
+    assert np.array_equal(x.grad, alone[0] + 2.0)
+    assert np.array_equal(y.grad, alone[1] + 3.0)
 
 
 def test_backward_quadratic():
@@ -300,12 +340,38 @@ def test_backward_rejects_nonscalar():
             backward(y)
 
 
+def test_backward_refuses_a_loss_the_active_tape_did_not_record():
+    w = Tensor([1.0, 2.0], requires_grad=True)
+    with Tape():
+        loss = _sum(T.mul(w, w))
+    with pytest.raises(ShapeError, match="active tape"):
+        backward(loss)                      # its tape has exited
+    with Tape():
+        with pytest.raises(ShapeError, match="active tape"):
+            backward(loss)                  # another tape is active
+    refused = []
+
+    def in_worker():
+        try:
+            backward(loss)
+        except ShapeError as exc:
+            refused.append(exc)
+
+    with Tape():
+        loss = _sum(T.mul(w, w))
+        worker = threading.Thread(target=in_worker)  # its context has no tape
+        worker.start()
+        worker.join(timeout=10)
+    assert not worker.is_alive() and len(refused) == 1
+    assert w.grad is None
+
+
 def test_no_grad_blocks_recording():
     w = Tensor([1.0], requires_grad=True)
-    with Tape():
+    with Tape() as tape:
         with T.no_grad():
             y = T.sigmoid(w)
-    assert y.tape is None and not y.requires_grad
+    assert tape.nodes == [] and not y.requires_grad
 
 
 def test_grad_accumulates_across_reuse():
@@ -473,7 +539,7 @@ def test_take_repeated_indices_sum_and_unique_indices_assign():
 # Gradient property test for every op that records a tape node. Inputs keep
 # clear of the kink of hinge (0) and of ties in max_last, so
 # central differences are exact up to rounding; penalty gets inputs clear of
-# its floor and layer_norm_rows rows with spread. matmul and
+# its floor and residual_norm rows with spread. matmul and
 # multi_head_attention have their own property tests above.
 
 def _normal(rng, shape):
@@ -492,6 +558,19 @@ def _spread_rows(rng, shape):
     """Entries of each row at least 0.3 apart."""
     return (rng.permuted(np.tile(0.5 * np.arange(shape[-1]), (shape[0], 1)), axis=-1)
             + rng.uniform(-0.1, 0.1, shape))
+
+
+def _residual_case(keep_of):
+    """residual_norm of rows with spread x and a small y: even scaled by
+    1/(1-p), y leaves the entries of each row of x + y at least 0.1 apart."""
+    return ([_spread_rows, lambda rng, shape: rng.uniform(-0.05, 0.05, shape),
+             lambda rng, shape: _normal(rng, shape[1:]),
+             lambda rng, shape: _normal(rng, shape[1:])],
+            lambda x, y, gain, bias: T.residual_norm(x, y, gain, bias, keep_of(x.shape), 0.4))
+
+
+def _checkerboard(shape):
+    return np.indices(shape).sum(axis=0) % 2 == 0
 
 
 # op name -> (input makers, each called as maker(rng, (m, n)); op on the Tensors)
@@ -520,11 +599,7 @@ GRAD_CASES = {
     # the last row is padding wherever there is more than one
     "masked_mean": ([_normal], lambda x: T.masked_mean(
         x, 0, (np.arange(x.shape[0]) < max(1, x.shape[0] - 1))[:, None])),
-    "layer_norm_rows": ([_spread_rows, lambda rng, shape: _normal(rng, shape[1:]),
-                         lambda rng, shape: _normal(rng, shape[1:])], T.layer_norm_rows),
-    # a fixed checkerboard keep-mask
-    "dropout": ([_normal], lambda x: T.dropout(
-        x, np.indices(x.shape).sum(axis=0) % 2 == 0, 0.4)),
+    "residual_norm": _residual_case(lambda shape: None),
 }
 
 
@@ -541,13 +616,14 @@ def _mlp_case(keep_of):
 
 
 GRAD_CASES["mlp"] = _mlp_case(lambda m: None)
-# with a fixed checkerboard keep-mask on the hidden layer
-MLP_CASES = {"mlp_dropout": _mlp_case(lambda m: np.indices((m, 3)).sum(axis=0) % 2 == 0)}
+# the ops that apply dropout, with a fixed checkerboard keep-mask
+MASK_CASES = {"mlp_dropout": _mlp_case(lambda m: _checkerboard((m, 3))),
+              "residual_norm_dropout": _residual_case(_checkerboard)}
 
 
-# Graphs where one tensor feeds two takes: the second take backward adds into
-# the grad the first one left (in place, as no row repeats), and into a
-# read-only grad shared with a pass-through op (never in place).
+# Graphs where one tensor feeds two takes, or a take and a pass-through op:
+# the second take's adjoint adds into the grad the first one left, and into a
+# read-only grad shared with the pass-through op.
 TAKE_CASES = {
     "take_twice": ([_normal], lambda x: T.concat(
         [T.take(x, np.arange(x.shape[0])[::-1]), T.take(x, [x.shape[0] - 1, 0, -1])])),
@@ -564,13 +640,9 @@ def test_gradient_cases_cover_every_recording_op():
     assert recording == set(GRAD_CASES) | {"matmul", "multi_head_attention"}
 
 
-@pytest.mark.parametrize("name", sorted(GRAD_CASES) + sorted(TAKE_CASES)
-                         + sorted(MLP_CASES))
-@settings(max_examples=20, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 4),
-       st.lists(st.booleans(), min_size=5, max_size=5), st.integers(0, 2**31 - 1))
-def test_op_gradients_match_central_differences(name, m, n, flags, seed):
-    makers, op = {**GRAD_CASES, **TAKE_CASES, **MLP_CASES}[name]
+def _check_gradients(makers, op, m, n, flags, seed):
+    """The adjoints op records for the inputs whose flag is set, against
+    central differences; inputs without one get none."""
     rng = np.random.default_rng(seed)
     inputs = [Tensor(make(rng, (m, n)), requires_grad=flag)
               for make, flag in zip(makers, flags)]
@@ -600,10 +672,28 @@ def test_op_gradients_match_central_differences(name, m, n, flags, seed):
         assert np.allclose(t.grad, numeric, rtol=1e-6, atol=1e-8)
 
 
+@pytest.mark.parametrize("name", sorted(GRAD_CASES) + sorted(TAKE_CASES)
+                         + sorted(MASK_CASES))
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4),
+       st.lists(st.booleans(), min_size=5, max_size=5), st.integers(0, 2**31 - 1))
+def test_op_gradients_match_central_differences(name, m, n, flags, seed):
+    _check_gradients(*{**GRAD_CASES, **TAKE_CASES, **MASK_CASES}[name], m, n, flags, seed)
+
+
+@pytest.mark.parametrize("name", ["residual_norm", "residual_norm_dropout"])
+@pytest.mark.parametrize("flags", list(itertools.product([False, True], repeat=4)))
+def test_residual_norm_gradients_under_every_requires_grad_combination(name, flags):
+    _check_gradients(*{**GRAD_CASES, **MASK_CASES}[name], 3, 4, flags, seed=7)
+
+
 def _mlp_reference(x, W1, b1, W2, b2, keep, p):
-    """mlp as the ops it fuses, its relu as the product with the 0/1 mask of
-    the positive entries (subgradient 0 at 0)."""
-    z = T.dropout(T.add_rowvec(x @ W1, b1), keep, p)
+    """mlp as the ops it fuses, its dropout and its relu as products with
+    the rescaled keep-mask and with the 0/1 mask of the positive entries
+    (subgradient 0 at 0)."""
+    z = T.add_rowvec(x @ W1, b1)
+    if keep is not None:
+        z = T.mul(z, Tensor(np.where(keep, 1.0 / (1.0 - p), 0.0)))
     return T.add_rowvec(T.mul(z, Tensor((z.data > 0).astype(np.float64))) @ W2, b2)
 
 
