@@ -17,7 +17,7 @@ x = rng.standard_normal((6, 8))
 perm = rng.permutation(6)
 
 stack = MultiHeadAttentionStack(d=8, layers=2, heads=3, hidden=12, p_drop=0.0,
-                                max_len=16, rng=np.random.default_rng(1))
+                                rng=np.random.default_rng(1))
 
 
 def layers_only(x):

@@ -6,7 +6,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import ShapeError, Tensor
-from .encoders import PositionalEncoding
+from .encoders import positional_encoding
 
 
 def scaled_dot_attention(q, K, V, heads=1, key_mask=None):
@@ -81,19 +81,18 @@ class MultiHeadAttentionStack:
     per-head width is hidden // heads so the internal attention width is the
     largest multiple of the head count not exceeding hidden. The feed-forward
     sublayer uses the full hidden width. Input and output width stay at d.
-    Positional encoding is applied once before layer 1.
+    Positional encoding is added once before layer 1, with rows computed
+    for the sequence length it is given.
 
     A minibatch runs as one (B*O, d) block of B query sequences padded to O;
     a (B, O) mask marks the real queries, and padded ones receive no
     attention. Every other sublayer works row by row.
     """
 
-    def __init__(self, d, layers=2, heads=6, hidden=256, p_drop=0.2,
-                 max_len=64, rng=None):
+    def __init__(self, d, layers=2, heads=6, hidden=256, p_drop=0.2, rng=None):
         head_dim = max(hidden // heads, 1)
         self.layers = [_AttentionLayer(d, heads, head_dim, hidden, p_drop, rng)
                        for _ in range(layers)]
-        self.pe = PositionalEncoding(max_len, d)
 
     def forward(self, queries, mask=None, keep=None):
         """queries: (B*O, d) Tensor -> (B*O, d) Tensor of interaction encodings.
@@ -103,7 +102,9 @@ class MultiHeadAttentionStack:
         None (no dropout).
         """
         keep = keep or [None] * (2 * len(self.layers))
-        x = self.pe.apply(queries, None if mask is None else mask.shape[1])
+        rows, width = queries.data.shape
+        L = rows if mask is None else mask.shape[1]
+        x = T.add(queries, Tensor(np.tile(positional_encoding(L, width), (rows // L, 1))))
         for i, layer in enumerate(self.layers):
             x = layer.forward(x, mask, keep[2 * i:2 * i + 2])
         return x

@@ -30,7 +30,7 @@ GRADCHECK_TOLERANCE = 1e-4
 # central differences at step 1e-5) stays well below the 1e-4 tolerance.
 GRADCHECK_DEFAULTS = dict(
     d=8, D_in=6, V=6, N=3, T=4, T_prime=2, min_objects=2, max_objects=2,
-    attn_layers=2, attn_heads=3, attn_hidden=12, pe_max_len=8,
+    attn_layers=2, attn_heads=3, attn_hidden=12,
     frames_per_segment=4, train_segments=2, val_segments=0, test_segments=0,
     dropout=0.0, batch=2, epochs=1, delta=0.01, seed=2,
 )
@@ -150,13 +150,13 @@ def _cmd_eval(args):
 def gradcheck_all_modes(config=None, step=1e-5):
     """Run finite_diff_check on every loss mode; returns {mode: (err, name)}.
 
-    Uses a deterministic synthetic instance with dropout off and fixed
-    eval-mode frame sampling. The loss is the mean over a batch of two
-    segments with different query counts: the first train segment cut to
-    one query and the second train segment whole. Both take the next
-    ``negatives`` train segments as visual negatives, and as sentence
-    negatives ``negatives`` lists of up to O labels they do not hold, the
-    j-th from the j-th such label on.
+    Uses a deterministic synthetic instance with dropout off and the first
+    T frames of each segment, the last repeated. The loss is the mean over a
+    batch of two segments with different query counts: the first train
+    segment cut to one query and the second train segment whole. Both take
+    the next ``negatives`` train segments as visual negatives, and as
+    sentence negatives ``negatives`` lists of up to O labels they do not
+    hold, the j-th from the j-th such label on.
     """
     from .config import LossMode
 

@@ -28,7 +28,6 @@ class GroundingConfig:
     attn_heads: int = 6
     attn_hidden: int = 256
     dropout: float = 0.2
-    pe_max_len: int = 64
     # objective
     mode: LossMode = LossMode.FULL_MODEL
     lam: float = 0.9
@@ -52,7 +51,6 @@ class GroundingConfig:
     train_segments: int = 500
     val_segments: int = 100
     test_segments: int = 100
-    canvas: int = 1000
 
     def __post_init__(self):
         if not isinstance(self.mode, LossMode):
@@ -87,9 +85,6 @@ class GroundingConfig:
             raise ConfigError(f"max_objects {self.max_objects} exceeds proposals per frame {self.N}")
         if self.min_objects < 1 or self.min_objects > self.max_objects:
             raise ConfigError("need 1 <= min_objects <= max_objects")
-        if self.max_objects > self.pe_max_len:
-            raise ConfigError(f"max_objects {self.max_objects} exceeds positional "
-                              f"table length pe_max_len {self.pe_max_len}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:

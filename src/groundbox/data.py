@@ -31,6 +31,7 @@ log = logging.getLogger(__name__)
 REFERRING_EXPRESSIONS = ("it", "them", "that", "they")
 FORMAT = 2  # of the dataset directory; features.json names it
 SPLITS = ("train", "val", "test")
+CANVAS = 1000  # side of the square frame that synthetic boxes lie in
 
 
 class DataError(ValueError):
@@ -163,7 +164,7 @@ def generate_synthetic(config, seed=None):
         for _ in range(O):
             start = int(rng.integers(0, F - span + 1))
             spans.append(range(start, start + span))
-            true_boxes.append(_random_box(rng, config.canvas))
+            true_boxes.append(_random_box(rng, CANVAS))
 
         # draws[f, i] is proposal i's (base, noise) pair: a distractor's base
         # is fresh noise at prototype scale, so it never echoes a planted
@@ -181,7 +182,7 @@ def generate_synthetic(config, seed=None):
                 owner = owner_of.get(i)
                 if owner is None:
                     rng.standard_normal(out=draws[f, i])
-                    boxes.append(_distractor_box(rng, config.canvas, avoid))
+                    boxes.append(_distractor_box(rng, CANVAS, avoid))
                 else:
                     draws[f, i, 0] = protos[proto_of[query_labels[owner]]]
                     rng.standard_normal(out=draws[f, i, 1])
@@ -218,8 +219,9 @@ def sample_frames(n_frames, T, rng):
                     n_frames, T)
         base = sample_frames(n_frames, n_frames, rng)
         return base + [n_frames - 1] * (T - n_frames)
-    bounds = [n_frames * i // T for i in range(T + 1)]
-    return [int(rng.integers(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    # one call draws the T clips in order, as T scalar integers calls would
+    bounds = np.arange(T + 1) * n_frames // T
+    return rng.integers(bounds[:-1], bounds[1:]).tolist()
 
 
 def label_members(pool):

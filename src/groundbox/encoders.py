@@ -68,24 +68,14 @@ class ProposalEncoder:
                 f"{prefix}.W2": self.W2, f"{prefix}.b2": self.b2}
 
 
-class PositionalEncoding:
-    """Precomputed sinusoid table: pe[pos, 2i] = sin(pos / 10000^(2i/width))."""
-
-    def __init__(self, max_len, width):
-        pos = np.arange(max_len, dtype=np.float64)[:, None]
-        i2 = np.arange(0, width, 2, dtype=np.float64)
-        angles = pos / np.power(10000.0, i2 / width)
-        table = np.zeros((max_len, width))
-        table[:, 0::2] = np.sin(angles)
-        table[:, 1::2] = np.cos(angles[:, : table[:, 1::2].shape[1]])
-        self.table = table
-
-    def apply(self, x, length=None):
-        """Add table rows 0..L-1 to a (L, width) sequence, or to each of the
-        consecutive length-L sequences whose rows x stacks."""
-        rows = x.data.shape[0]
-        L = rows if length is None else length
-        if L > self.table.shape[0]:
-            raise ShapeError(
-                f"sequence length {L} exceeds positional table {self.table.shape[0]}")
-        return T.add(x, Tensor(np.tile(self.table[:L], (rows // L, 1))))
+def positional_encoding(length, width):
+    """Sinusoid rows 0..length-1: pe[pos, 2i] = sin(pos / 10000^(2i/width)),
+    pe[pos, 2i+1] = cos of the same angle. Row pos depends only on pos and
+    width, so any length is defined."""
+    pos = np.arange(length, dtype=np.float64)[:, None]
+    i2 = np.arange(0, width, 2, dtype=np.float64)
+    angles = pos / np.power(10000.0, i2 / width)
+    table = np.zeros((length, width))
+    table[:, 0::2] = np.sin(angles)
+    table[:, 1::2] = np.cos(angles[:, : table[:, 1::2].shape[1]])
+    return table

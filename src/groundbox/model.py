@@ -23,8 +23,7 @@ class GroundingModel:
                                         p_drop=config.dropout)
         self.attn = MultiHeadAttentionStack(
             config.d, layers=config.attn_layers, heads=config.attn_heads,
-            hidden=config.attn_hidden, p_drop=config.dropout,
-            max_len=config.pe_max_len, rng=rng)
+            hidden=config.attn_hidden, p_drop=config.dropout, rng=rng)
         self.lang_W = T.uniform_init(rng, (2 * config.d, config.T_prime),
                                      fan_in=2 * config.d)
         self.lang_b = T.uniform_init(rng, (config.T_prime,), fan_in=2 * config.d)

@@ -157,7 +157,9 @@ def _record(name, out, inputs, backward_fn):
 
 def backward(loss):
     """Accumulate d(loss)/d(leaf) into every requires_grad tensor on the
-    active tape, walking back from the node that produced loss.
+    active tape, walking back from the node that produced loss. Leaves keep
+    what earlier calls added; the walked nodes' outputs start from no
+    gradient, so each call propagates its own loss only.
 
     Raises ShapeError for a loss that is not a scalar or that no node of the
     active tape produced, and FloatingPointError naming the first node whose
@@ -173,6 +175,8 @@ def backward(loss):
     if not np.isfinite(loss.data).all():
         culprit = next(n.name for n in nodes if not np.isfinite(n.out.data).all())
         raise FloatingPointError(f"non-finite loss; first offending op: {culprit}")
+    for node in nodes[:end + 1]:
+        node.out.grad = None
     loss.grad = np.ones_like(loss.data)
     for node in reversed(nodes[:end + 1]):
         if node.out.grad is not None:
@@ -270,12 +274,11 @@ def take(a, indices):
     out = Tensor(a.data[idx])
 
     def bwd(g):
-        ga = np.zeros_like(a.data)
-        if np.unique(idx % len(a.data)).size == idx.size:
-            ga[idx] = g  # assignment is the sum
-        else:
-            np.add.at(ga, idx, g)
-        _accumulate(a, ga)
+        # bincount adds the rows of g in index order, as np.add.at does
+        n, width = len(a.data), math.prod(a.data.shape[1:])
+        slots = (idx.ravel() % n)[:, None] * width + np.arange(width)
+        ga = np.bincount(slots.ravel(), g.ravel(), minlength=n * width)
+        _accumulate(a, ga.reshape(a.data.shape))
 
     return _record("take", out, (a,), bwd)
 

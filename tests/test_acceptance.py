@@ -201,7 +201,7 @@ def test_criterion_7_attention_properties(verdict):
     checks.append(bool(np.array_equal(out.data, np.tile(v.data, (4, 1)))))
 
     pos = MultiHeadAttentionStack(d=8, layers=2, heads=3, hidden=12, p_drop=0.0,
-                                  max_len=16, rng=np.random.default_rng(1))
+                                  rng=np.random.default_rng(1))
 
     def plain(x):  # the stack's layers without its positional encoding
         for layer in pos.layers:
@@ -227,7 +227,7 @@ def test_criterion_7_attention_properties(verdict):
 def test_criterion_8_determinism(verdict, tmp_path):
     cfg = GroundingConfig(d=8, D_in=6, V=12, N=4, T=3, T_prime=2,
                           attn_layers=1, attn_heads=2, attn_hidden=8,
-                          pe_max_len=8, dropout=0.0, frames_per_segment=4,
+                          dropout=0.0, frames_per_segment=4,
                           train_segments=8, val_segments=4, test_segments=4,
                           epochs=3, batch=4, lr=0.5, sigma=0.1,
                           seed=7).validate()

@@ -5,6 +5,7 @@ import pytest
 
 from groundbox import tensor as T
 from groundbox.attention import MultiHeadAttentionStack, scaled_dot_attention
+from groundbox.encoders import positional_encoding
 from groundbox.gradcheck import finite_diff_check
 from groundbox.tensor import ShapeError, Tensor
 
@@ -49,8 +50,7 @@ def test_scaled_dot_shape_errors():
 
 def _stack(d=8, seed=0):
     return MultiHeadAttentionStack(d=d, layers=2, heads=3, hidden=12,
-                                   p_drop=0.0, max_len=16,
-                                   rng=np.random.default_rng(seed))
+                                   p_drop=0.0, rng=np.random.default_rng(seed))
 
 
 def _layers_only(stack, x):
@@ -116,12 +116,20 @@ def test_stack_gradcheck():
 
 def test_stack_passes_two_keep_masks_per_layer_in_order():
     stack = MultiHeadAttentionStack(d=8, layers=2, heads=3, hidden=12, p_drop=0.5,
-                                    max_len=16, rng=np.random.default_rng(0))
+                                    rng=np.random.default_rng(0))
     rng = np.random.default_rng(8)
     x = Tensor(rng.standard_normal((5, 8)))
     keep = [rng.random((5, 8)) >= 0.5 for _ in range(4)]
-    want = stack.pe.apply(x)
+    want = T.add(x, Tensor(positional_encoding(5, 8)))
     for i, layer in enumerate(stack.layers):
         want = layer.forward(want, keep=keep[2 * i:2 * i + 2])
     assert np.array_equal(stack.forward(x, keep=keep).data, want.data)
     assert not np.allclose(stack.forward(x).data, want.data)
+
+
+def test_stack_runs_on_more_queries_than_any_table_length():
+    # positions are computed for the sequence given, so 70 queries need no
+    # table sized in advance
+    x = np.random.default_rng(9).standard_normal((70, 8))
+    out = _stack().forward(Tensor(x)).data
+    assert out.shape == (70, 8) and np.isfinite(out).all()

@@ -12,7 +12,7 @@ from groundbox.model import GroundingModel
 from groundbox.tensor import ConfigError
 
 FAST = ("T=3\nT_prime=2\nd=8\nD_in=6\nV=12\nN=4\nattn_layers=1\nattn_heads=2\n"
-        "attn_hidden=8\npe_max_len=8\ndropout=0.0\nframes_per_segment=4\n"
+        "attn_hidden=8\ndropout=0.0\nframes_per_segment=4\n"
         "train_segments=6\nval_segments=3\ntest_segments=3\nepochs=2\nbatch=3\n"
         "lr=0.1\nsigma=0.1\n")
 
@@ -68,10 +68,11 @@ def test_config_validation_rejects_bad_values():
         GroundingConfig(mode="nonsense")
 
 
-def test_config_requires_a_positional_row_per_object():
-    GroundingConfig(max_objects=3, pe_max_len=3).validate()
-    with pytest.raises(ConfigError, match="pe_max_len 2"):
-        GroundingConfig(max_objects=3, pe_max_len=2).validate()
+def test_config_refuses_removed_keys():
+    # an old checkpoint.json loads after these two keys are deleted from it
+    for key, value in (("pe_max_len", 64), ("canvas", 1000)):
+        with pytest.raises(ConfigError, match=f"unknown config keys \\['{key}'\\]"):
+            GroundingConfig.from_dict({"seed": 0, key: value})
 
 
 def test_config_requires_positive_lr():

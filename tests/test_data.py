@@ -167,6 +167,20 @@ def test_sample_frames_eval_sorted_in_range(n, T, seed):
     assert all(0 <= t < n for t in idx)
 
 
+@given(st.integers(1, 60), st.integers(1, 12), st.integers(0, 2**31 - 1))
+def test_sample_frames_draws_as_one_scalar_call_per_clip(n, T, seed):
+    # the same frames, and the rng left where T scalar draws leave it; one-frame
+    # clips included
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sample_frames(n, T, rng)
+    if n < T:
+        want = [int(ref.integers(t, t + 1)) for t in range(n)] + [n - 1] * (T - n)
+    else:
+        want = [int(ref.integers(n * i // T, n * (i + 1) // T)) for i in range(T)]
+    assert got == want and all(type(t) is int for t in got)
+    assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+
+
 def test_sample_negative_sentence_disjoint():
     rng = np.random.default_rng(1)
     _, splits = generate_synthetic(SMALL)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from groundbox import tensor as T
-from groundbox.encoders import (PositionalEncoding, ProposalEncoder,
-                                QueryEncoder, VocabularyError)
+from groundbox.attention import MultiHeadAttentionStack
+from groundbox.encoders import (ProposalEncoder, QueryEncoder, VocabularyError,
+                                positional_encoding)
 from groundbox.gradcheck import finite_diff_check
 from groundbox.tensor import ShapeError, Tape, Tensor, backward
 
@@ -84,32 +85,39 @@ def test_proposal_encoder_gradcheck():
 
 
 def test_positional_encoding_first_row_and_ranges():
-    pe = PositionalEncoding(max_len=16, width=8)
-    assert np.allclose(pe.table[0, 0::2], 0.0)  # sin(0)
-    assert np.allclose(pe.table[0, 1::2], 1.0)  # cos(0)
-    assert np.all(np.abs(pe.table) <= 1.0)
+    table = positional_encoding(16, 8)
+    assert np.allclose(table[0, 0::2], 0.0)  # sin(0)
+    assert np.allclose(table[0, 1::2], 1.0)  # cos(0)
+    assert np.all(np.abs(table) <= 1.0)
 
 
 def test_positional_encoding_known_entries():
-    pe = PositionalEncoding(max_len=4, width=4)
-    assert abs(pe.table[1, 0] - np.sin(1.0)) < 1e-12
-    assert abs(pe.table[1, 2] - np.sin(1.0 / 10000.0 ** 0.5)) < 1e-12
+    table = positional_encoding(4, 4)
+    assert abs(table[1, 0] - np.sin(1.0)) < 1e-12
+    assert abs(table[1, 2] - np.sin(1.0 / 10000.0 ** 0.5)) < 1e-12
 
 
 def test_positional_encoding_distinguishes_positions():
-    pe = PositionalEncoding(max_len=32, width=16)
-    rows = pe.table
+    rows = positional_encoding(32, 16)
     for i in range(31):
         assert not np.allclose(rows[i], rows[i + 1])
 
 
+def test_positional_encoding_rows_do_not_depend_on_length():
+    # a length-L call gives the first L rows of a longer one, byte for byte,
+    # at odd widths too
+    for width in range(4, 131):
+        longer = positional_encoding(64, width)
+        for L in range(1, 65):
+            assert positional_encoding(L, width).tobytes() == longer[:L].tobytes()
+
+
 def test_positional_apply_adds_prefix_rows():
-    pe = PositionalEncoding(max_len=8, width=4)
+    # a stack without layers adds positions 0..L-1 to each sequence of L rows
+    stack = MultiHeadAttentionStack(d=4, layers=0, rng=np.random.default_rng(0))
     x = Tensor(np.zeros((3, 4)))
-    assert np.allclose(pe.apply(x).data, pe.table[:3])
-
-
-def test_positional_apply_rejects_long_sequence():
-    pe = PositionalEncoding(max_len=2, width=4)
-    with pytest.raises(ShapeError):
-        pe.apply(Tensor(np.zeros((3, 4))))
+    assert np.array_equal(stack.forward(x).data, positional_encoding(3, 4))
+    batch = Tensor(np.zeros((6, 4)))
+    mask = np.ones((2, 3), dtype=bool)
+    assert np.array_equal(stack.forward(batch, mask).data,
+                          np.tile(positional_encoding(3, 4), (2, 1)))

@@ -325,6 +325,39 @@ def test_backward_quadratic():
     assert np.allclose(w.grad, [2.0, 4.0])
 
 
+def test_second_backward_adds_the_same_leaf_gradient_again():
+    w = Tensor([1.0, 2.0], requires_grad=True)
+    with Tape():
+        loss = T.mean_all(T.mul(T.scale(w, 3.0), w))
+        backward(loss)
+        backward(loss)
+    assert np.array_equal(w.grad, [6.0, 12.0])
+
+
+def test_two_losses_on_one_tape_give_the_sum_of_their_gradients():
+    rng = np.random.default_rng(3)
+    w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    b = Tensor(rng.standard_normal(2), requires_grad=True)
+
+    def losses():
+        h = T.sigmoid(T.add_rowvec(w, b))
+        return T.mean_all(T.mul(h, h)), _sum(T.scale(h, 0.5))
+
+    alone = []
+    for which in range(2):
+        w.grad = b.grad = None
+        with Tape():
+            backward(losses()[which])
+        alone.append((w.grad.copy(), b.grad.copy()))
+    w.grad = b.grad = None
+    with Tape():
+        first, second = losses()
+        backward(first)
+        backward(second)
+    assert np.allclose(w.grad, alone[0][0] + alone[1][0], rtol=1e-15, atol=0)
+    assert np.allclose(b.grad, alone[0][1] + alone[1][1], rtol=1e-15, atol=0)
+
+
 def test_backward_sigmoid_at_zero():
     w = Tensor([0.0], requires_grad=True)
     with Tape():
@@ -534,6 +567,35 @@ def test_take_repeated_indices_sum_and_unique_indices_assign():
         np.add.at(want, np.asarray(idx), g)
         assert np.array_equal(a.grad, want)
     assert np.array_equal(a.grad[1], g[3])
+
+
+_ADJOINT_ENTRIES = st.one_of(st.floats(-10, 10), st.sampled_from([0.0, -0.0, 1e300, -1e300]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_take_adjoint_equals_add_at_byte_for_byte(data):
+    n = data.draw(st.integers(1, 5))
+    trailing = data.draw(st.lists(st.integers(1, 3), max_size=2))
+    index_shape = data.draw(st.sampled_from([(), (4,), (7,), (2, 3)]))
+    unique = index_shape == (4,) and n >= 4 and data.draw(st.booleans())
+    if unique:  # a permutation's prefix, as nonnegative or negative indices
+        shift = n * data.draw(st.integers(0, 1))
+        idx = np.asarray(data.draw(st.permutations(range(n))))[:4] - shift
+    else:
+        idx = np.asarray(data.draw(st.lists(st.integers(-n, n - 1),
+                                            min_size=math.prod(index_shape),
+                                            max_size=math.prod(index_shape))),
+                         dtype=np.intp).reshape(index_shape)
+    g_shape = index_shape + tuple(trailing)
+    g = np.asarray(data.draw(st.lists(_ADJOINT_ENTRIES, min_size=math.prod(g_shape),
+                                      max_size=math.prod(g_shape)))).reshape(g_shape)
+    a = Tensor(np.zeros((n, *trailing)), requires_grad=True)
+    with Tape():
+        backward(_sum(T.mul(T.take(a, idx), Tensor(g))))
+    want = np.zeros_like(a.data)
+    np.add.at(want, idx, g)
+    assert a.grad.shape == want.shape and a.grad.tobytes() == want.tobytes()
 
 
 # Gradient property test for every op that records a tape node. Inputs keep

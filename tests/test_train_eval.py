@@ -35,7 +35,7 @@ def _sum(x):
 
 TINY = GroundingConfig(d=8, D_in=6, V=12, N=4, T=3, T_prime=2,
                        attn_layers=1, attn_heads=2, attn_hidden=8,
-                       pe_max_len=8, dropout=0.0, frames_per_segment=4,
+                       dropout=0.0, frames_per_segment=4,
                        train_segments=6, val_segments=3, test_segments=3,
                        epochs=2, batch=3, lr=0.1, sigma=0.1, seed=0)
 
