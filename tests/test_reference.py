@@ -1,0 +1,121 @@
+"""A plain-numpy reference for the losses of the four modes.
+
+It follows the formulas of the README and of Zhou et al. (arXiv 1805.02834,
+§3) one segment at a time, with no tape and no groundbox.tensor:
+
+- similarity of query k and proposal i of frame t: sigmoid(q_k . r_i^t / sqrt(d));
+- frame confidence C_t = (1/O) sum_k max_i of it, segment score
+  (1/O) sum_k max_{t,i};
+- the hinge sum_j max(0, s_j - s_0 + delta) over the K visual and the K'
+  sentence negatives, and the penalty D(w) = -log 2w;
+- C_lang = (1/O) sum_k sigmoid(W [J(q_k); q_k] + b), frame t's snippet
+  t_s = min(ceil(t / ceil(T/T')), T'), and the frame weights C_t,
+  C_lang^{t_s} and their mean;
+- the weighted loss (1/T) sum_t [lam w_t L_rank^t + (1-lam) D(w_t)].
+
+The attention output J comes from the model's own stack under no_grad;
+the stack has references of its own (tests/test_attention.py).
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from groundbox.config import GroundingConfig, LossMode
+from groundbox.data import generate_synthetic
+from groundbox.model import GroundingModel
+from groundbox.tensor import Tensor, no_grad
+
+BASE = GroundingConfig(d=8, D_in=6, V=16, N=4, attn_layers=1, attn_heads=2,
+                       attn_hidden=8, dropout=0.0, frames_per_segment=5,
+                       min_objects=3, max_objects=3, train_segments=8,
+                       val_segments=0, test_segments=0, sigma=0.1, seed=0)
+POOL = generate_synthetic(BASE)[1]["train"]
+
+
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def _encode(model, segment, frames):
+    """(T, N, d) proposal encodings of segment at frames, dropout off."""
+    enc = model.prop_enc
+    x = segment.frames["feature"][frames].astype(np.float64)
+    h = np.maximum(x @ enc.W1.data + enc.b1.data, 0.0)
+    return h @ enc.W2.data + enc.b2.data
+
+
+def _scores(q, r):
+    """(O, T, N) similarities of queries q (O, d) and proposals r (T, N, d)."""
+    return _sigmoid(np.einsum("kd,tnd->ktn", q, r) / math.sqrt(q.shape[-1]))
+
+
+def _hinge(pos, negs, delta):
+    return sum(np.maximum(0.0, neg - pos + delta) for neg in negs)
+
+
+def _c_lang(model, q):
+    """(T',) language confidence of one segment's queries q (O, d)."""
+    with no_grad():
+        J = model.attn.forward(Tensor(q)).data
+    x = np.concatenate([J, q], axis=1)
+    return _sigmoid(x @ model.lang_W.data + model.lang_b.data).mean(axis=0)
+
+
+def reference_loss(model, item):
+    """The loss of one (segment, visual negatives, sentence negatives, frames)
+    item under the model's configured mode."""
+    cfg = model.config
+    segment, neg_visual, neg_sentences, frames = item
+    W = model.query_enc.W.data
+    q = W[segment.query_labels]
+    r = _encode(model, segment, frames)
+    pairings = [_scores(q, r)]
+    pairings += [_scores(q, _encode(model, neg, [min(f, neg.n_frames - 1) for f in frames]))
+                 for neg in neg_visual]
+    pairings += [_scores(W[labels], r) for labels in neg_sentences]
+    if cfg.mode is LossMode.DVSA:
+        s = [a.max(axis=(1, 2)).mean() for a in pairings]
+        return _hinge(s[0], s[1:], cfg.delta)
+    c = [a.max(axis=2).mean(axis=0) for a in pairings]          # each (T,)
+    rank = _hinge(c[0], c[1:], cfg.delta)
+    n_frames = len(frames)
+    if cfg.mode is LossMode.LOSS_WEIGHTING:
+        w = c[0]
+    else:
+        c_lang = _c_lang(model, q)
+        Tp = len(c_lang)
+        snippet = [min(math.ceil(t / math.ceil(n_frames / Tp)), Tp)
+                   for t in range(1, n_frames + 1)]
+        lang = c_lang[np.array(snippet) - 1]
+        w = lang if cfg.mode is LossMode.OBJECT_INTERACTION else (c[0] + lang) / 2
+    return np.mean(cfg.lam * w * rank + (1 - cfg.lam) * -np.log(2 * w))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(list(LossMode)), st.integers(1, 2), st.integers(1, 2),
+       st.integers(1, BASE.frames_per_segment), st.data())
+def test_segment_loss_matches_the_numpy_reference(mode, K, K_sent, n_frames, data):
+    Tp = data.draw(st.integers(1, n_frames))
+    config = BASE.replace(mode=mode.value, T=n_frames, T_prime=Tp,
+                          seed=data.draw(st.integers(0, 2**31 - 1)))
+    model = GroundingModel(config)
+    index = st.integers(0, len(POOL) - 1)
+    frame = st.integers(0, BASE.frames_per_segment - 1)
+    labels = st.lists(st.integers(0, BASE.V - 1), min_size=1, max_size=3)
+    batch = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        seg = POOL[data.draw(index)]
+        O = data.draw(st.integers(1, 3))
+        batch.append((dataclasses.replace(seg, query_labels=seg.query_labels[:O]),
+                      [POOL[data.draw(index)] for _ in range(K)],
+                      [data.draw(labels) for _ in range(K_sent)],
+                      sorted(data.draw(st.lists(frame, min_size=n_frames,
+                                                max_size=n_frames)))))
+    with no_grad():
+        got = model.segment_loss(batch).data
+    want = np.array([reference_loss(model, item) for item in batch])
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
