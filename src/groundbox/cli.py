@@ -135,6 +135,9 @@ def _cmd_eval(args):
         raise ConfigError(f"{manifest}: {exc}") from exc
     vocab, splits = _load_dataset(args.data, config, manifest)
     samples = splits.get(args.split, [])
+    if not any(len(seg.gt) for seg in samples):
+        raise DataError(f"{args.data}: the {args.split} split holds no gt record "
+                        "to evaluate against")
     model = GroundingModel(config, np.random.default_rng(config.seed))
     try:
         load_into_model(model, flat)

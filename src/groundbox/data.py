@@ -438,9 +438,15 @@ def _fields_of(rec, at, N, rows, n_labels):
         raise DataError(f"gt: {'null' if gt is None else 'a list'} on a {split} "
                         "record, but gt is null exactly on train records")
     labels = checked_list("query_labels", rec["query_labels"], "integer")
+    if not labels:
+        raise DataError("query_labels: [], but a segment needs at least one query")
     _check_range("query_labels", np.array(labels, dtype=np.int64), n_labels,
                  "vocabulary.txt labels")
     F, row = (checked_counts(key, [rec[key]])[0] for key in ("frames", "row"))
+    if not F:
+        raise DataError("frames: 0, but a segment needs at least one frame")
+    if not N:
+        raise DataError(f"frames: {F}, but features.json has N=0 proposals per frame")
     if row != at:
         raise DataError(f"row: {row}, but the rows before it end at {at}: segments "
                         f"must tile [0, {rows}) in order, N={N} rows per frame")

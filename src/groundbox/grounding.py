@@ -99,16 +99,9 @@ def language_confidence(J_out, Q, head_W, head_b, mask=None):
     J_out, Q: (rows, d) Tensors, one row per query; head_W: (2d, T') Tensor,
     head_b: (T',) Tensor. mask: (..., O) real-query booleans, one entry per
     row, or None for one segment of O = rows queries. Returns (..., T'), the
-    mean running over each segment's real queries.
+    mean running over each segment's real queries, as one tape node.
     """
-    x = T.concat([J_out, Q], axis=1)                   # (rows, 2d)
-    if x.data.shape[1] != head_W.data.shape[0]:
-        raise ShapeError(
-            f"language head expects width {head_W.data.shape[0]}, got {x.data.shape[1]}")
-    mask = np.ones(x.data.shape[0], dtype=bool) if mask is None else mask
-    scores = T.sigmoid(T.add_rowvec(x @ head_W, head_b))
-    per_query = T.reshape(scores, mask.shape + (head_W.data.shape[1],))
-    return T.masked_mean(per_query, -2, mask[..., None])
+    return T.language_head(J_out, Q, head_W, head_b, mask)
 
 
 def snippet_index(t, n_frames, n_snippets):

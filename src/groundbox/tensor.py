@@ -5,13 +5,15 @@ array (proposal features, as stored) keeps it, and an op that reads it
 computes in float64. Operations executed while a Tape is active are
 recorded in execution (topological) order; ``backward`` walks the tape
 once in reverse and accumulates gradients into every tensor that requires
-them. The 18 ops are the ones the model runs. The loss's two
+them. The 17 ops are the ones the model runs. The loss's two
 primitives are one node each: ``hinge`` sums the margin ranking hinge
 max(0, neg - pos + delta) over a negatives axis and ``penalty`` is the frame
-penalty -log 2c. So is each attention sublayer's ``residual_norm``,
-layer_norm(x + dropout(y)). The only operator sugar is ``@`` (matmul), and
-negation is ``scale(x, -1.0)``. Nothing in a graph draws random numbers:
-dropout applies a boolean keep-mask planned before the forward pass.
+penalty -log 2c. So are each attention sublayer's ``residual_norm``,
+layer_norm(x + dropout(y)), and the language head, ``language_head``;
+``sigmoid`` serves graphs outside the model (demo 01, smooth test losses).
+The only operator sugar is ``@`` (matmul), and negation is
+``scale(x, -1.0)``. Nothing in a graph draws random numbers: dropout applies
+a boolean keep-mask planned before the forward pass.
 
 Both two-layer MLPs (the proposal encoder and the attention feed-forward)
 run as one ``mlp`` node, ``relu(dropout(x W1 + b1)) W2 + b2``. It upcasts a
@@ -253,21 +255,6 @@ def reshape(a, shape):
     return _record("reshape", out, (a,), bwd)
 
 
-def concat(tensors, axis=0):
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                _accumulate(t, g[tuple(sl)], owned=False)
-
-    return _record("concat", out, tuple(tensors), bwd)
-
-
 def take(a, indices):
     """Select rows (axis 0) by integer index; repeats accumulate in the adjoint."""
     idx = np.asarray(indices, dtype=np.intp)
@@ -281,21 +268,6 @@ def take(a, indices):
         _accumulate(a, ga.reshape(a.data.shape))
 
     return _record("take", out, (a,), bwd)
-
-
-def add_rowvec(x, b):
-    """x[m,n] + b[n] broadcast over rows; adjoint of b sums over rows."""
-    if x.data.ndim != 2 or b.data.ndim != 1 or x.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"add_rowvec: incompatible shapes {x.data.shape} and {b.data.shape}")
-    out = Tensor(x.data + b.data[None, :])
-
-    def bwd(g):
-        if x.requires_grad:
-            _accumulate(x, g, owned=False)
-        if b.requires_grad:
-            _accumulate(b, g.sum(axis=0))
-
-    return _record("add_rowvec", out, (x, b), bwd)
 
 
 # --------------------------------------------------------------------------
@@ -392,6 +364,38 @@ def penalty(c):
         _accumulate(c, -g / x * mask * 2.0)
 
     return _record("penalty", out, (c,), bwd)
+
+
+def language_head(J, q, W, b, mask=None):
+    """C_lang = (1/O) sum_k sigmoid([J_k; q_k] W + b) as one node, the mean over
+    each sequence's real queries. J, q: one row per query; W: (width of [J; q],
+    T'), b: (T',). mask: (..., O) real-query booleans, one entry per row, or
+    None for one sequence of O = rows queries. Returns (..., T').
+    """
+    x = np.concatenate([J.data, q.data], axis=1)
+    mask = np.ones(len(x), dtype=bool) if mask is None else mask
+    if x.shape[1] != W.data.shape[0] or mask.size != len(x):
+        raise ShapeError(f"language_head: [J; q] of shape {x.shape} and a mask of "
+                         f"shape {mask.shape} do not fit W of shape {W.data.shape}")
+    y = _sigmoid(x @ W.data + b.data)
+    m = np.broadcast_to(mask[..., None], mask.shape + y.shape[1:])
+    count = m.sum(axis=-2, keepdims=True)
+    out = Tensor((y.reshape(m.shape) * m).sum(axis=-2) / np.squeeze(count, -2))
+
+    def bwd(g):
+        gz = (np.expand_dims(g, -2) / count * m).reshape(y.shape) * y * (1.0 - y)
+        if b.requires_grad:
+            _accumulate(b, gz.sum(axis=0))
+        if W.requires_grad:
+            _accumulate(W, x.T @ gz)
+        if J.requires_grad or q.requires_grad:
+            gx, d = gz @ W.data.T, J.data.shape[1]
+            if J.requires_grad:
+                _accumulate(J, gx[:, :d], owned=False)
+            if q.requires_grad:
+                _accumulate(q, gx[:, d:], owned=False)
+
+    return _record("language_head", out, (J, q, W, b), bwd)
 
 
 def multi_head_attention(q, k, v, heads, key_mask=None):

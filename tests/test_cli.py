@@ -253,6 +253,23 @@ def test_cli_refuses_dataset_that_does_not_match_the_config(tmp_path, fast_cfg,
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("split", ["test", "val"])
+def test_cli_eval_refuses_a_split_without_gt_records(tmp_path, fast_cfg, capsys, split):
+    data, empty, run = tmp_path / "data", tmp_path / "empty", tmp_path / "run"
+    report = tmp_path / "report.json"
+    main(["gen-data", "--config", fast_cfg, "--out", str(data)])
+    main(["train", "--config", fast_cfg, "--data", str(data),
+          "--mode", "dvsa", "--out", str(run)])
+    cfg2 = tmp_path / "empty.cfg"
+    cfg2.write_text(FAST.replace(f"{split}_segments=3", f"{split}_segments=0"))
+    main(["gen-data", "--config", str(cfg2), "--out", str(empty)])
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run / "checkpoint"), "--data", str(empty),
+                 "--split", split, "--out", str(report)]) == 1
+    assert f"{empty}: the {split} split holds no gt record" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_cli_eval_load_errors_name_the_checkpoint(tmp_path, fast_cfg, capsys):
     data = tmp_path / "data"
     run = tmp_path / "run"

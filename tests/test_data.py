@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -568,6 +569,36 @@ def test_load_rejects_an_n_that_does_not_tile_the_rows(tmp_path, N, want):
     path.write_text(json.dumps(dict(json.loads(path.read_text()), N=N)))
     err = _load_error(tmp_path)
     assert want in err and f"N={N} rows per frame" in err
+
+
+# SMALL saves test, train, val in that order, so line 7 is the last train segment
+@pytest.mark.parametrize("edit, want", [
+    (lambda seg: dataclasses.replace(seg, query_labels=[]),
+     "segments.jsonl:7: query_labels: [], but a segment needs at least one query"),
+    (lambda seg: dataclasses.replace(seg, frames=seg.frames[:0]),
+     "segments.jsonl:7: frames: 0, but a segment needs at least one frame"),
+], ids=["no-query", "no-frame"])
+def test_load_rejects_an_empty_segment(tmp_path, edit, want):
+    vocab, splits = generate_synthetic(SMALL)
+    splits["train"][-1] = edit(splits["train"][-1])
+    save_segments(tmp_path, vocab, splits)
+    assert want in _load_error(tmp_path)
+
+
+def test_load_rejects_n_0_under_segments_with_frames(tmp_path):
+    vocab, splits = generate_synthetic(SMALL)
+    save_segments(tmp_path, vocab, {
+        split: [dataclasses.replace(seg, frames=seg.frames[:, :0]) for seg in segments]
+        for split, segments in splits.items()})
+    assert ("segments.jsonl:1: frames: 6, but features.json has N=0 proposals per "
+            "frame") in _load_error(tmp_path)
+
+
+def test_a_dataset_without_segments_loads(tmp_path):
+    vocab, _ = generate_synthetic(SMALL)
+    save_segments(tmp_path, vocab, {})
+    assert json.loads((tmp_path / "features.json").read_text())["N"] == 0
+    assert load_segments(tmp_path) == (vocab, {})
 
 
 def _listing(data_dir):

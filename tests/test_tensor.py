@@ -237,16 +237,6 @@ def test_layer_norm_rows_rejects_non_2d():
                             Tensor(np.ones(4)), Tensor(np.zeros(4)))
 
 
-def test_concat_and_split_gradients():
-    a = Tensor([[1.0, 2.0]], requires_grad=True)
-    b = Tensor([[3.0, 4.0]], requires_grad=True)
-    with Tape():
-        c = T.concat([a, b], axis=1)
-        backward(_sum(T.mul(c, c)))
-    assert np.allclose(a.grad, 2 * a.data)
-    assert np.allclose(b.grad, 2 * b.data)
-
-
 def _residual_inputs():
     """x and y of shape (3, 4), which need gradients, then gain and bias."""
     rng = np.random.default_rng(0)
@@ -337,10 +327,10 @@ def test_second_backward_adds_the_same_leaf_gradient_again():
 def test_two_losses_on_one_tape_give_the_sum_of_their_gradients():
     rng = np.random.default_rng(3)
     w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
-    b = Tensor(rng.standard_normal(2), requires_grad=True)
+    b = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
 
     def losses():
-        h = T.sigmoid(T.add_rowvec(w, b))
+        h = T.sigmoid(T.add(w, b))
         return T.mean_all(T.mul(h, h)), _sum(T.scale(h, 0.5))
 
     alone = []
@@ -631,6 +621,15 @@ def _residual_case(keep_of):
             lambda x, y, gain, bias: T.residual_norm(x, y, gain, bias, keep_of(x.shape), 0.4))
 
 
+def _query_mask(m):
+    """The (B, O) real-query mask of m rows: two sequences when m is even, else
+    one; the last query of the first sequence is padding when it has company."""
+    mask = np.ones((2, m // 2) if m % 2 == 0 else (1, m), dtype=bool)
+    if mask.shape[1] > 1:
+        mask[0, -1] = False
+    return mask
+
+
 def _checkerboard(shape):
     return np.indices(shape).sum(axis=0) % 2 == 0
 
@@ -641,9 +640,7 @@ GRAD_CASES = {
     "mul": ([_normal, _normal], T.mul),
     "scale": ([_normal], lambda x: T.scale(x, -1.7)),
     "reshape": ([_normal], lambda x: T.reshape(x, (-1,))),
-    "concat": ([_normal, _normal], lambda a, b: T.concat([a, b, a], axis=1)),
     "take": ([_normal], lambda x: T.take(x, [x.data.shape[0] - 1, 0, -1])),
-    "add_rowvec": ([_normal, lambda rng, shape: _normal(rng, shape[1:])], T.add_rowvec),
     "sigmoid": ([_normal], T.sigmoid),
     # K' = 2 sentence negatives of m queries, K = 2 visual negatives of m+1
     # proposals, over a middle axis of 2 segments
@@ -662,6 +659,11 @@ GRAD_CASES = {
     "masked_mean": ([_normal], lambda x: T.masked_mean(
         x, 0, (np.arange(x.shape[0]) < max(1, x.shape[0] - 1))[:, None])),
     "residual_norm": _residual_case(lambda shape: None),
+    # J (m, n) and q (m, n+1) split the head's input unevenly
+    "language_head": ([_normal, lambda rng, shape: _normal(rng, (shape[0], shape[1] + 1)),
+                       lambda rng, shape: _normal(rng, (2 * shape[1] + 1, 3)),
+                       lambda rng, shape: _normal(rng, (3,))],
+                      lambda J, q, W, b: T.language_head(J, q, W, b, _query_mask(J.shape[0]))),
 }
 
 
@@ -687,10 +689,10 @@ MASK_CASES = {"mlp_dropout": _mlp_case(lambda m: _checkerboard((m, 3))),
 # the second take's adjoint adds into the grad the first one left, and into a
 # read-only grad shared with the pass-through op.
 TAKE_CASES = {
-    "take_twice": ([_normal], lambda x: T.concat(
-        [T.take(x, np.arange(x.shape[0])[::-1]), T.take(x, [x.shape[0] - 1, 0, -1])])),
-    "take_after_pass_through": ([_normal], lambda x: T.concat(
-        [T.take(x, np.arange(x.shape[0])[::-1]), T.reshape(x, x.shape)])),
+    "take_twice": ([_normal], lambda x: T.add(
+        T.take(x, np.arange(x.shape[0])[::-1]), T.take(x, -1 - np.arange(x.shape[0]) // 2))),
+    "take_after_pass_through": ([_normal], lambda x: T.add(
+        T.take(x, np.arange(x.shape[0])[::-1]), T.reshape(x, x.shape))),
 }
 
 
@@ -749,14 +751,26 @@ def test_residual_norm_gradients_under_every_requires_grad_combination(name, fla
     _check_gradients(*{**GRAD_CASES, **MASK_CASES}[name], 3, 4, flags, seed=7)
 
 
+@pytest.mark.parametrize("flags", list(itertools.product([False, True], repeat=4)))
+def test_language_head_gradients_under_every_requires_grad_combination(flags):
+    # four rows: two sequences, the first one padded
+    _check_gradients(*GRAD_CASES["language_head"], 4, 3, flags, seed=7)
+
+
+def _add_bias(z, b):
+    """z (m, n) plus b (n,) in every row; b enters through a product with a
+    column of ones, which is exact in every entry."""
+    return T.add(z, Tensor(np.ones((z.shape[0], 1))) @ T.reshape(b, (1, -1)))
+
+
 def _mlp_reference(x, W1, b1, W2, b2, keep, p):
     """mlp as the ops it fuses, its dropout and its relu as products with
     the rescaled keep-mask and with the 0/1 mask of the positive entries
     (subgradient 0 at 0)."""
-    z = T.add_rowvec(x @ W1, b1)
+    z = _add_bias(x @ W1, b1)
     if keep is not None:
         z = T.mul(z, Tensor(np.where(keep, 1.0 / (1.0 - p), 0.0)))
-    return T.add_rowvec(T.mul(z, Tensor((z.data > 0).astype(np.float64))) @ W2, b2)
+    return _add_bias(T.mul(z, Tensor((z.data > 0).astype(np.float64))) @ W2, b2)
 
 
 @settings(max_examples=30, deadline=None)

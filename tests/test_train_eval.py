@@ -861,7 +861,7 @@ SMALL_FULL = GroundingConfig(d=32, D_in=16, V=20, N=10, T=5, T_prime=5, sigma=0.
 
 @pytest.mark.parametrize("negatives", [1, 2])
 @pytest.mark.parametrize("mode, nodes", [("dvsa", 8), ("loss-weight", 16),
-                                         ("obj-interact", 43), ("full", 46)])
+                                         ("obj-interact", 38), ("full", 41)])
 def test_tape_nodes_per_planned_batch(mode, nodes, negatives):
     # every pairing of the margin loss sits in one similarity block and one
     # hinge node; the counts depend on neither the number of negatives nor
