@@ -118,7 +118,10 @@ def _cmd_gen_data(args):
 def _cmd_train(args):
     config = _config_from_args(args)
     vocab, splits = _load_dataset(args.data, config, "the config")
-    model, history = train(config, splits, out_dir=args.out)
+    try:
+        model, history = train(config, splits, out_dir=args.out)
+    except DataError as exc:
+        raise DataError(f"{args.data}: {exc}") from exc
     print(f"trained {config.mode.value} for {config.epochs} epochs; "
           f"final train_loss={history[-1][1]:.4f}", file=sys.stderr)
     return 0

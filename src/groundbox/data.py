@@ -16,7 +16,6 @@ frame, so row r of boxes.bin and row r of features.bin are one proposal.
 """
 
 import json
-import logging
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -25,8 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from .tensor import ConfigError
-
-log = logging.getLogger(__name__)
 
 REFERRING_EXPRESSIONS = ("it", "them", "that", "they")
 FORMAT = 2  # of the dataset directory; features.json names it
@@ -208,20 +205,16 @@ def generate_synthetic(config, seed=None):
 # sampling
 
 def sample_frames(n_frames, T, rng):
-    """Divide a segment evenly into T clips and draw one frame uniformly
-    within each clip. Segments shorter than T repeat the last frame as
-    padding.
+    """Divide a segment evenly into k = min(n_frames, T) clips and draw one
+    frame uniformly within each clip; a segment shorter than T repeats its
+    last frame as padding up to T frames.
     """
     if T < 1:
         raise ConfigError(f"frame count T must be >= 1, got {T}")
-    if n_frames < T:
-        log.warning("segment has %d frames < T=%d; padding with last frame",
-                    n_frames, T)
-        base = sample_frames(n_frames, n_frames, rng)
-        return base + [n_frames - 1] * (T - n_frames)
-    # one call draws the T clips in order, as T scalar integers calls would
-    bounds = np.arange(T + 1) * n_frames // T
-    return rng.integers(bounds[:-1], bounds[1:]).tolist()
+    k = min(n_frames, T)
+    # one call draws the k clips in order, as k scalar integers calls would
+    bounds = np.arange(k + 1) * n_frames // k
+    return rng.integers(bounds[:-1], bounds[1:]).tolist() + [n_frames - 1] * (T - k)
 
 
 def label_members(pool):

@@ -42,14 +42,14 @@ def frame_scores(a, n_frames, mask=None):
     tensor, from a flat (..., O, n_frames*N) block; mask: (..., O) real-query
     booleans, or None when every query is real."""
     per_frame = T.reshape(a, a.data.shape[:-1] + (n_frames, -1))
-    frame_max, _ = T.max_last(per_frame)               # (..., O, T)
+    frame_max = T.max_last(per_frame)                  # (..., O, T)
     return T.masked_mean(frame_max, -2, None if mask is None else mask[..., None])
 
 
 def segment_score(a, mask=None):
     """Segment-level matching score: mean_k max_j a[..., k, j] over the flat
     (..., O, T*N) block, shape (...)."""
-    best, _ = T.max_last(a)                            # (..., O)
+    best = T.max_last(a)                               # (..., O)
     return T.masked_mean(best, -1, mask)
 
 

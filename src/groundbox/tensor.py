@@ -1,4 +1,4 @@
-"""Minimal dense-tensor library with reverse-mode automatic differentiation.
+"""Minimal numpy tensor library with reverse-mode automatic differentiation.
 
 Tensors hold float64 numpy arrays; only a constant made from a float32
 array (proposal features, as stored) keeps it, and an op that reads it
@@ -18,7 +18,7 @@ a boolean keep-mask planned before the forward pass.
 Both two-layer MLPs (the proposal encoder and the attention feed-forward)
 run as one ``mlp`` node, ``relu(dropout(x W1 + b1)) W2 + b2``. It upcasts a
 float32 input one chunk of rows at a time, keeps only its hidden layer, and
-forms its adjoints over the rows whose output adjoint is nonzero: the MIL
+forms its adjoints from the rows whose output adjoint is nonzero: the MIL
 loss scores a (query, frame) by its best proposal, so most proposal rows
 carry none.
 
@@ -39,12 +39,12 @@ is freed by reference counting as soon as nothing names it, normally when
 its ``with`` block ends.
 
 A node's backward computes an adjoint only for the inputs that have
-``requires_grad``; the adjoint of a constant operand is never formed. The
-first adjoint written into a tensor is assigned, later ones are added in
-place. On that first write a tensor takes ownership of an array the op has
-just computed, and shares an adjoint passed through unchanged (a view or
-the incoming gradient itself) as a read-only view; a later write into a
-shared grad makes a fresh array, so no write reaches another tensor's grad.
+``requires_grad``; the adjoint of a constant operand is never formed. One
+rule accumulates adjoints: a tensor's first adjoint becomes its grad as it
+is, and each later one is summed out of place (``grad = grad + g``). No op
+writes into a grad or into the adjoint it is handed, so an adjoint passed
+through unchanged (``add``, ``reshape``, the language head's column blocks)
+may be shared by several grads.
 """
 
 import contextvars
@@ -129,23 +129,10 @@ class Tensor:
         return matmul(self, other)
 
 
-def _accumulate(t, g, owned=True):
-    """Add adjoint g into t.grad; the caller has checked t.requires_grad.
-
-    owned: g was just computed by the op and nothing else refers to it, so
-    the first write may keep it. Pass owned=False for an adjoint passed
-    through unchanged; the first write then keeps a read-only view of it,
-    and a later write replaces that view with a fresh sum.
-    """
-    if t.grad is None:
-        t.grad = np.asarray(g)
-        if not owned:
-            t.grad = t.grad.view()
-            t.grad.flags.writeable = False
-    elif t.grad.flags.writeable:
-        t.grad += g
-    else:
-        t.grad = t.grad + g
+def _accumulate(t, g):
+    """Add adjoint g into t.grad, out of place; the caller has checked
+    t.requires_grad. g may be shared with other tensors' grads."""
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _record(name, out, inputs, backward_fn):
@@ -199,9 +186,9 @@ def add(a, b):
 
     def bwd(g):
         if a.requires_grad:
-            _accumulate(a, g, owned=False)
+            _accumulate(a, g)
         if b.requires_grad:
-            _accumulate(b, g, owned=False)
+            _accumulate(b, g)
 
     return _record("add", out, (a, b), bwd)
 
@@ -250,7 +237,7 @@ def reshape(a, shape):
     out = Tensor(a.data.reshape(shape))
 
     def bwd(g):
-        _accumulate(a, g.reshape(orig), owned=False)
+        _accumulate(a, g.reshape(orig))
 
     return _record("reshape", out, (a,), bwd)
 
@@ -391,9 +378,9 @@ def language_head(J, q, W, b, mask=None):
         if J.requires_grad or q.requires_grad:
             gx, d = gz @ W.data.T, J.data.shape[1]
             if J.requires_grad:
-                _accumulate(J, gx[:, :d], owned=False)
+                _accumulate(J, gx[:, :d])
             if q.requires_grad:
-                _accumulate(q, gx[:, d:], owned=False)
+                _accumulate(q, gx[:, d:])
 
     return _record("language_head", out, (J, q, W, b), bwd)
 
@@ -449,10 +436,8 @@ def multi_head_attention(q, k, v, heads, key_mask=None):
 
 
 def max_last(x):
-    """Max over the last axis. Returns (reduced tensor, argmax array).
-
-    Gradient is one-hot at the argmax; ties break to the lowest index.
-    """
+    """Max over the last axis; the adjoint is one-hot at the argmax, ties
+    taking the lowest index."""
     arg = np.argmax(x.data, axis=-1)
     out = Tensor(np.take_along_axis(x.data, arg[..., None], axis=-1)[..., 0])
 
@@ -461,7 +446,7 @@ def max_last(x):
         np.put_along_axis(gx, arg[..., None], g[..., None], axis=-1)
         _accumulate(x, gx)
 
-    return _record("max_last", out, (x,), bwd), arg
+    return _record("max_last", out, (x,), bwd)
 
 
 def mean_all(x):
@@ -525,12 +510,10 @@ def residual_norm(x, y, gain, bias, keep=None, p=0.0):
         dxhat = g * gain.data
         gs = (dxhat - dxhat.mean(axis=-1, keepdims=True)
               - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) / sd
-        # without a mask x and y get the same array: neither may own it
-        shared = drop is None and x.requires_grad and y.requires_grad
         if x.requires_grad:
-            _accumulate(x, gs, owned=not shared)
+            _accumulate(x, gs)
         if y.requires_grad:
-            _accumulate(y, gs if drop is None else gs * drop, owned=not shared)
+            _accumulate(y, gs if drop is None else gs * drop)
 
     return _record("residual_norm", out, (x, y, gain, bias), bwd)
 
@@ -559,8 +542,9 @@ def mlp(x, W1, b1, W2, b2, keep=None, p=0.0):
     the (m, h) boolean dropout keep-mask of the hidden layer, or None (no
     dropout). The hidden layer is one float64 buffer, written chunk by chunk
     and then biased, scaled and rectified in place; the node keeps only it.
-    Backward works on the rows whose output adjoint is nonzero: behind a max
-    over proposals, most rows carry none.
+    Backward gathers the rows whose output adjoint is nonzero (behind a max
+    over proposals, most rows carry none), forms every adjoint from them and
+    scatters x's into zeros.
     """
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
@@ -591,9 +575,6 @@ def mlp(x, W1, b1, W2, b2, keep=None, p=0.0):
 
     def bwd(g):
         rows = np.flatnonzero(g.any(axis=1))
-        dense = rows.size == m
-        if dense:
-            rows = slice(None)  # views, not copies
         g, hr = g[rows], h[rows]
         if b2.requires_grad:
             _accumulate(b2, g.sum(axis=0))
@@ -610,10 +591,8 @@ def mlp(x, W1, b1, W2, b2, keep=None, p=0.0):
         if W1.requires_grad:
             _accumulate(W1, x.data[rows].T @ gz)
         if x.requires_grad:
-            gx = gz @ W1.data.T
-            if not dense:
-                gx_rows, gx = gx, np.zeros(x.data.shape)
-                gx[rows] = gx_rows
+            gx = np.zeros(x.data.shape)
+            gx[rows] = gz @ W1.data.T
             _accumulate(x, gx)
 
     return _record("mlp", out, (x, W1, b1, W2, b2), bwd)
@@ -622,7 +601,7 @@ def mlp(x, W1, b1, W2, b2, keep=None, p=0.0):
 # --------------------------------------------------------------------------
 # init helper
 
-def uniform_init(rng, shape, fan_in, requires_grad=True):
-    """Scaled-uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
+def uniform_init(rng, shape, fan_in):
+    """A trainable tensor drawn uniformly from [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
     bound = 1.0 / math.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=requires_grad)
+    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)

@@ -71,21 +71,25 @@ class NesterovSGD:
         self._ahead = False
 
 
-def train(config, splits, out_dir=None, log_every=0):
+def train(config, splits, out_dir=None):
     """Train a model in the configured mode; returns (model, history).
 
-    history rows: (epoch, train_loss, val_accuracy). The checkpoint with the
-    best validation macro accuracy wins; it is restored into the returned
-    model and written to out_dir if given. Raises SamplingError before the
-    first epoch when a train segment has no label-disjoint negative, and
-    ConfigError naming the field when the config does not validate.
+    history rows: (epoch, train_loss, val_accuracy), each also logged at INFO.
+    The checkpoint with the best validation macro accuracy wins; it is
+    restored into the returned model and written to out_dir if given. Raises
+    DataError when the train split is missing or empty, SamplingError before
+    the first epoch when a train segment has no label-disjoint negative, and
+    ConfigError naming the field when the config does not validate. Warns
+    once when train segments are shorter than T frames.
     """
     config.validate()
+    train_set = splits.get("train")
+    if not train_set:
+        raise DataError("the train split holds no segment to train on")
     rng = np.random.default_rng(config.seed)
     model = GroundingModel(config, rng)
     params = model.trainable_params()
     opt = NesterovSGD(params, config.lr, config.momentum)
-    train_set = splits["train"]
     val_set = splits.get("val", [])
     members = label_members(train_set)
     # each train segment's negative pool, in pool order, for every draw
@@ -95,6 +99,10 @@ def train(config, splits, out_dir=None, log_every=0):
             raise SamplingError(
                 f"train segment {seg.segment_id!r} has no negative: every other "
                 f"segment shares a label with {sorted(set(seg.query_labels))}")
+    short = [seg.n_frames for seg in train_set if seg.n_frames < config.T]
+    if short:
+        log.warning("%d train segments have fewer than T=%d frames (the shortest %d); "
+                    "their last frame pads each draw", len(short), config.T, min(short))
 
     history = []
     best_acc = -1.0
@@ -124,7 +132,7 @@ def train(config, splits, out_dir=None, log_every=0):
                 backward(T.mean_all(seg_losses))
             losses.extend(seg_losses.data.tolist())
             opt.step()
-        train_loss = float(np.mean(losses)) if losses else 0.0
+        train_loss = float(np.mean(losses))
 
         val_acc = float("nan")
         if val_set:
@@ -135,9 +143,7 @@ def train(config, splits, out_dir=None, log_every=0):
                 best_params = {n: t.data.copy()
                                for n, t in model.params().items()}
         history.append((epoch, train_loss, val_acc))
-        if log_every and epoch % log_every == 0:
-            log.info("epoch %d: train_loss=%.4f val_acc=%.4f",
-                     epoch, train_loss, val_acc)
+        log.info("epoch %d: train_loss=%.4f val_acc=%.4f", epoch, train_loss, val_acc)
 
     if best_params is not None:
         load_into_model(model, best_params)

@@ -322,6 +322,20 @@ def test_cli_train_missing_data_exits_1(tmp_path, fast_cfg, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_train_refuses_a_dataset_without_train_segments(tmp_path, fast_cfg, capsys):
+    data = tmp_path / "data"
+    cfg = tmp_path / "no-train.cfg"
+    cfg.write_text(FAST + "train_segments=0\n")
+    assert main(["gen-data", "--config", str(cfg), "--out", str(data)]) == 0
+    capsys.readouterr()
+    code = main(["train", "--config", fast_cfg, "--data", str(data),
+                 "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert (f"groundbox train: error: {data}: the train split holds no segment "
+            "to train on") in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_compare_reports(tmp_path, capsys):
     a = {"mode": "full", "split": "test", "macro_accuracy": 0.6,
          "upper_bound": 1.0,

@@ -8,13 +8,15 @@ It follows the formulas of the README and of Zhou et al. (arXiv 1805.02834,
   (1/O) sum_k max_{t,i};
 - the hinge sum_j max(0, s_j - s_0 + delta) over the K visual and the K'
   sentence negatives, and the penalty D(w) = -log 2w;
+- the attention stack J: sinusoidal positional rows added to the queries,
+  then per layer x <- LN(x + concat_h softmax(x Wq_h (x Wk_h)^T / sqrt(w)) x Wv_h Wo)
+  and x <- LN(x + relu(x W1 + b1) W2 + b2), each segment attending over its
+  own queries only, as the key mask of a padded batch makes it;
 - C_lang = (1/O) sum_k sigmoid(W [J(q_k); q_k] + b), frame t's snippet
   t_s = min(ceil(t / ceil(T/T')), T'), and the frame weights C_t,
   C_lang^{t_s} and their mean;
-- the weighted loss (1/T) sum_t [lam w_t L_rank^t + (1-lam) D(w_t)].
-
-The attention output J comes from the model's own stack under no_grad;
-the stack has references of its own (tests/test_attention.py).
+- the weighted loss (1/T) sum_t [lam w_t L_rank^t + (1-lam) D(w_t)];
+- grounding: at each frame, each query picks its most similar proposal.
 """
 
 import dataclasses
@@ -27,7 +29,7 @@ from hypothesis import strategies as st
 from groundbox.config import GroundingConfig, LossMode
 from groundbox.data import generate_synthetic
 from groundbox.model import GroundingModel
-from groundbox.tensor import Tensor, no_grad
+from groundbox.tensor import no_grad
 
 BASE = GroundingConfig(d=8, D_in=6, V=16, N=4, attn_layers=1, attn_heads=2,
                        attn_hidden=8, dropout=0.0, frames_per_segment=5,
@@ -57,11 +59,39 @@ def _hinge(pos, negs, delta):
     return sum(np.maximum(0.0, neg - pos + delta) for neg in negs)
 
 
+def _softmax(z):
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _layer_norm(x, gain, bias):
+    mu = x.mean(axis=-1, keepdims=True)
+    return (x - mu) / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-6) * gain + bias
+
+
+def _attention(model, q):
+    """(O, d) interaction encodings J of one segment's queries q (O, d)."""
+    O, d = q.shape
+    j = np.arange(d)
+    angle = np.arange(O)[:, None] / 10000.0 ** (2 * (j // 2) / d)
+    x = q + np.where(j % 2 == 0, np.sin(angle), np.cos(angle))
+    for layer in model.attn.layers:
+        Q, K, V = (x @ W.data for W in (layer.Wq, layer.Wk, layer.Wv))
+        w = Q.shape[1] // layer.n_heads
+        heads = []
+        for h in range(layer.n_heads):
+            c = slice(h * w, (h + 1) * w)
+            heads.append(_softmax(Q[:, c] @ K[:, c].T / math.sqrt(w)) @ V[:, c])
+        attn = np.hstack(heads) @ layer.Wo.data
+        x = _layer_norm(x + attn, layer.ln1_g.data, layer.ln1_b.data)
+        ff = np.maximum(x @ layer.W1.data + layer.b1.data, 0.0) @ layer.W2.data + layer.b2.data
+        x = _layer_norm(x + ff, layer.ln2_g.data, layer.ln2_b.data)
+    return x
+
+
 def _c_lang(model, q):
     """(T',) language confidence of one segment's queries q (O, d)."""
-    with no_grad():
-        J = model.attn.forward(Tensor(q)).data
-    x = np.concatenate([J, q], axis=1)
+    x = np.concatenate([_attention(model, q), q], axis=1)
     return _sigmoid(x @ model.lang_W.data + model.lang_b.data).mean(axis=0)
 
 
@@ -95,6 +125,12 @@ def reference_loss(model, item):
     return np.mean(cfg.lam * w * rank + (1 - cfg.lam) * -np.log(2 * w))
 
 
+def reference_picks(model, segment, frames):
+    """(O, len(frames)): the proposal each query of segment picks at frames."""
+    q = model.query_enc.W.data[segment.query_labels]
+    return _scores(q, _encode(model, segment, frames)).argmax(axis=2)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(list(LossMode)), st.integers(1, 2), st.integers(1, 2),
        st.integers(1, BASE.frames_per_segment), st.data())
@@ -119,3 +155,8 @@ def test_segment_loss_matches_the_numpy_reference(mode, K, K_sent, n_frames, dat
         got = model.segment_loss(batch).data
     want = np.array([reference_loss(model, item) for item in batch])
     assert np.allclose(got, want, rtol=1e-12, atol=0)
+    scored = [np.unique(item[3]) for item in batch]
+    picks = model.predict([item[0] for item in batch], scored)
+    for block, (segment, *_), frames in zip(picks, batch, scored):
+        O = len(segment.query_labels)
+        assert np.array_equal(block[:O, frames], reference_picks(model, segment, frames))

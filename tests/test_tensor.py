@@ -215,15 +215,18 @@ def test_penalty_floor_has_zero_subgradient():
 def test_max_reduce_value_index_and_onehot_grad():
     x = Tensor([[0.2, 0.9, 0.4]], requires_grad=True)
     with Tape():
-        m, arg = T.max_last(x)
+        m = T.max_last(x)
         backward(_sum(m))
-    assert m.data[0] == 0.9 and arg[0] == 1
+    assert m.data[0] == 0.9  # the index shows in the one-hot adjoint
     assert np.allclose(x.grad, [[0.0, 1.0, 0.0]])
 
 
 def test_max_reduce_tie_breaks_low_index():
-    _, arg = T.max_last(Tensor([[0.5, 0.5]]))
-    assert arg[0] == 0
+    # the one-hot adjoint marks the index the max was taken at
+    x = Tensor([[0.5, 0.5]], requires_grad=True)
+    with Tape():
+        backward(_sum(T.max_last(x)))
+    assert np.array_equal(x.grad, [[1.0, 0.0]])
 
 
 def test_mean():
@@ -415,7 +418,7 @@ def test_finite_diff_composed_graph():
     def f():
         h = T.mlp(x, W, b, W2, b2)
         s = _softmax_rows(T.sigmoid(h))
-        m, _ = T.max_last(s)
+        m = T.max_last(s)
         return T.mean_all(T.penalty(m))
 
     err, _ = finite_diff_check(f, {"W": W, "b": b}, step=1e-5)
@@ -653,7 +656,7 @@ GRAD_CASES = {
                                                   _off_zero(rng, (2,) + shape) - 0.3])],
               lambda s: T.hinge(s, 0.3)),
     "penalty": ([_positive], T.penalty),
-    "max_last": ([_spread_rows], lambda x: T.max_last(x)[0]),
+    "max_last": ([_spread_rows], T.max_last),
     "mean_all": ([_normal], T.mean_all),
     # the last row is padding wherever there is more than one
     "masked_mean": ([_normal], lambda x: T.masked_mean(

@@ -834,6 +834,27 @@ def test_train_names_a_segment_without_negatives():
         train(TINY, splits)
 
 
+@pytest.mark.parametrize("splits", [{}, {"train": []}], ids=["missing", "empty"])
+def test_train_refuses_a_missing_or_empty_train_split(splits):
+    with pytest.raises(DataError, match="the train split holds no segment"):
+        train(TINY, splits)
+
+
+def test_train_warns_once_per_run_about_short_segments(caplog):
+    # 4-frame segments drawn at T=5 over two epochs: one warning, not one per
+    # draw, and one INFO line per epoch
+    _, splits = generate_synthetic(TINY)
+    with caplog.at_level("INFO", logger="groundbox"):
+        train(TINY.replace(T=5), splits)
+    records = [(r.name, r.levelname) for r in caplog.records]
+    assert records == [("groundbox.train", "WARNING")] + \
+        [("groundbox.train", "INFO")] * TINY.epochs
+    assert caplog.records[0].getMessage() == (
+        "6 train segments have fewer than T=5 frames (the shortest 4); "
+        "their last frame pads each draw")
+    assert caplog.records[1].getMessage().startswith("epoch 0: train_loss=")
+
+
 # --------------------------------------------------------------------------
 # one graph per minibatch
 
