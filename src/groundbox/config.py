@@ -95,6 +95,11 @@ class GroundingConfig:
                       "frames_per_segment", "attn_layers", "attn_heads", "attn_hidden"):
             if getattr(self, field) < 1:
                 raise ConfigError(f"{field} must be >= 1, got {getattr(self, field)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.attn_heads > self.attn_hidden:
+            raise ConfigError(f"attn_heads {self.attn_heads} exceeds attn_hidden "
+                              f"{self.attn_hidden}: each head needs a column")
         if not 0.0 < self.presence <= 1.0:
             raise ConfigError(f"presence must be in (0, 1], got {self.presence}")
         return self

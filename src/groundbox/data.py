@@ -257,16 +257,18 @@ def sample_negative_sentence(pool, positive, rng, rows=None):
 def replacing(*paths):
     """Write paths through temp files: the save protocol of every artifact.
 
-    Yields a list of one temp path per target, .<name>.<pid>.tmp beside it,
-    for the block to write. When the block ends they replace their targets in
-    order. With more than one target the last is a manifest of the others:
-    the old one is removed before anything is replaced, so no manifest ever
-    describes files it was not written with. If the block or a replace
-    raises, the temp files left are removed and every target not yet
-    replaced stays as it was.
+    Creates the targets' directories, then yields a list of one temp path per
+    target, .<name>.<pid>.tmp beside it, for the block to write. When the
+    block ends they replace their targets in order. With more than one target
+    the last is a manifest of the others: the old one is removed before
+    anything is replaced, so no manifest ever describes files it was not
+    written with. If the block or a replace raises, the temp files left are
+    removed and every target not yet replaced stays as it was.
     """
     paths = [Path(path) for path in paths]
     tmp = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
+    for path in paths:
+        path.parent.mkdir(parents=True, exist_ok=True)
     try:
         yield tmp
         if len(paths) > 1:
@@ -298,7 +300,6 @@ def save_segments(out_dir, vocab, splits):
     proposals per frame and feature width (DataError).
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     names = ("vocabulary.txt", "segments.jsonl", "boxes.bin", "features.bin",
              "features.json")
     with replacing(*(out_dir / name for name in names)) as (

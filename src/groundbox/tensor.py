@@ -38,10 +38,10 @@ tape's ``with`` block. Tensors hold no reference to their tape, so the tape
 is freed by reference counting as soon as nothing names it, normally when
 its ``with`` block ends.
 
-A node's backward computes an adjoint only for the inputs that have
-``requires_grad``; the adjoint of a constant operand is never formed. One
-rule accumulates adjoints: a tensor's first adjoint becomes its grad as it
-is, and each later one is summed out of place (``grad = grad + g``). No op
+A node's backward forms an adjoint for each of its inputs, and
+``_accumulate`` keeps it only for a tensor that has ``requires_grad``; a
+constant's adjoint is dropped. A tensor's first adjoint becomes its grad as
+it is, and each later one is summed out of place (``grad = grad + g``). No op
 writes into a grad or into the adjoint it is handed, so an adjoint passed
 through unchanged (``add``, ``reshape``, the language head's column blocks)
 may be shared by several grads.
@@ -130,9 +130,10 @@ class Tensor:
 
 
 def _accumulate(t, g):
-    """Add adjoint g into t.grad, out of place; the caller has checked
-    t.requires_grad. g may be shared with other tensors' grads."""
-    t.grad = g if t.grad is None else t.grad + g
+    """Add adjoint g into t.grad, out of place, if t requires grad; a
+    constant's adjoint is dropped. g may be shared with other tensors' grads."""
+    if t.requires_grad:
+        t.grad = g if t.grad is None else t.grad + g
 
 
 def _record(name, out, inputs, backward_fn):
@@ -185,10 +186,8 @@ def add(a, b):
     out = Tensor(a.data + b.data)
 
     def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g)
-        if b.requires_grad:
-            _accumulate(b, g)
+        _accumulate(a, g)
+        _accumulate(b, g)
 
     return _record("add", out, (a, b), bwd)
 
@@ -199,10 +198,8 @@ def mul(a, b):
     out = Tensor(a.data * b.data)
 
     def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g * b.data)
-        if b.requires_grad:
-            _accumulate(b, g * a.data)
+        _accumulate(a, g * b.data)
+        _accumulate(b, g * a.data)
 
     return _record("mul", out, (a, b), bwd)
 
@@ -224,10 +221,8 @@ def matmul(a, b):
     out = Tensor(a.data @ b.data)
 
     def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
-        if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
+        _accumulate(a, g @ b.data.T)
+        _accumulate(b, a.data.T @ g)
 
     return _record("matmul", out, (a, b), bwd)
 
@@ -303,15 +298,13 @@ def similarity(q, p):
     def bwd(g):
         gz = g * y * (1.0 - y) * s
         g_vis, g_sent = gz[:K + 1], gz[K + 1:]      # q[0]'s pairings, q[j>0]'s
-        if q.requires_grad:
-            gq = np.empty_like(q.data)
-            gq[0] = (g_vis @ p.data)[::-1].sum(axis=0)
-            gq[1:] = g_sent @ p.data[:1]
-            _accumulate(q, gq)
-        if p.requires_grad:
-            gp = g_vis.swapaxes(-1, -2) @ q.data[:1]
-            gp[0] += (g_sent.swapaxes(-1, -2) @ q.data[1:])[::-1].sum(axis=0)
-            _accumulate(p, gp)
+        gq = np.empty_like(q.data)
+        gq[0] = (g_vis @ p.data)[::-1].sum(axis=0)
+        gq[1:] = g_sent @ p.data[:1]
+        _accumulate(q, gq)
+        gp = g_vis.swapaxes(-1, -2) @ q.data[:1]
+        gp[0] += (g_sent.swapaxes(-1, -2) @ q.data[1:])[::-1].sum(axis=0)
+        _accumulate(p, gp)
 
     return _record("similarity", out, (q, p), bwd)
 
@@ -371,16 +364,11 @@ def language_head(J, q, W, b, mask=None):
 
     def bwd(g):
         gz = (np.expand_dims(g, -2) / count * m).reshape(y.shape) * y * (1.0 - y)
-        if b.requires_grad:
-            _accumulate(b, gz.sum(axis=0))
-        if W.requires_grad:
-            _accumulate(W, x.T @ gz)
-        if J.requires_grad or q.requires_grad:
-            gx, d = gz @ W.data.T, J.data.shape[1]
-            if J.requires_grad:
-                _accumulate(J, gx[:, :d])
-            if q.requires_grad:
-                _accumulate(q, gx[:, d:])
+        _accumulate(b, gz.sum(axis=0))
+        _accumulate(W, x.T @ gz)
+        gx, d = gz @ W.data.T, J.data.shape[1]
+        _accumulate(J, gx[:, :d])
+        _accumulate(q, gx[:, d:])
 
     return _record("language_head", out, (J, q, W, b), bwd)
 
@@ -422,15 +410,11 @@ def multi_head_attention(q, k, v, heads, key_mask=None):
 
     def bwd(g):
         gh = split(g, m, wv)                                   # (B, H, m, w_v)
-        if v.requires_grad:
-            _accumulate(v, merge(p.swapaxes(-1, -2) @ gh))
-        if q.requires_grad or k.requires_grad:
-            gp = gh @ vh.swapaxes(-1, -2)
-            gz = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * s
-            if q.requires_grad:
-                _accumulate(q, merge(gz @ kh))
-            if k.requires_grad:
-                _accumulate(k, merge(gz.swapaxes(-1, -2) @ qh))
+        _accumulate(v, merge(p.swapaxes(-1, -2) @ gh))
+        gp = gh @ vh.swapaxes(-1, -2)
+        gz = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * s
+        _accumulate(q, merge(gz @ kh))
+        _accumulate(k, merge(gz.swapaxes(-1, -2) @ qh))
 
     return _record("multi_head_attention", out, (q, k, v), bwd)
 
@@ -501,19 +485,13 @@ def residual_norm(x, y, gain, bias, keep=None, p=0.0):
     out = Tensor(xhat * gain.data + bias.data)
 
     def bwd(g):
-        if gain.requires_grad:
-            _accumulate(gain, (g * xhat).sum(axis=0))
-        if bias.requires_grad:
-            _accumulate(bias, g.sum(axis=0))
-        if not (x.requires_grad or y.requires_grad):
-            return
+        _accumulate(gain, (g * xhat).sum(axis=0))
+        _accumulate(bias, g.sum(axis=0))
         dxhat = g * gain.data
         gs = (dxhat - dxhat.mean(axis=-1, keepdims=True)
               - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) / sd
-        if x.requires_grad:
-            _accumulate(x, gs)
-        if y.requires_grad:
-            _accumulate(y, gs if drop is None else gs * drop)
+        _accumulate(x, gs)
+        _accumulate(y, gs if drop is None else gs * drop)
 
     return _record("residual_norm", out, (x, y, gain, bias), bwd)
 
@@ -576,21 +554,15 @@ def mlp(x, W1, b1, W2, b2, keep=None, p=0.0):
     def bwd(g):
         rows = np.flatnonzero(g.any(axis=1))
         g, hr = g[rows], h[rows]
-        if b2.requires_grad:
-            _accumulate(b2, g.sum(axis=0))
-        if W2.requires_grad:
-            _accumulate(W2, hr.T @ g)
-        if not (x.requires_grad or W1.requires_grad or b1.requires_grad):
-            return
+        _accumulate(b2, g.sum(axis=0))
+        _accumulate(W2, hr.T @ g)
         gz = g @ W2.data.T
         gz *= hr > 0
         if keep is not None:
             gz *= scale
-        if b1.requires_grad:
-            _accumulate(b1, gz.sum(axis=0))
-        if W1.requires_grad:
-            _accumulate(W1, x.data[rows].T @ gz)
-        if x.requires_grad:
+        _accumulate(b1, gz.sum(axis=0))
+        _accumulate(W1, x.data[rows].T @ gz)
+        if x.requires_grad:  # proposal features, the one large constant: skip an (m x n) adjoint
             gx = np.zeros(x.data.shape)
             gx[rows] = gz @ W1.data.T
             _accumulate(x, gx)

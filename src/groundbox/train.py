@@ -150,7 +150,6 @@ def train(config, splits, out_dir=None):
 
     if out_dir is not None:
         out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         checkpoint_save(out_dir / "checkpoint", model.params(), config)
         with replacing(out_dir / "trainlog.csv") as (tmp,), \
                 open(tmp, "w", encoding="utf-8", newline="") as fh:

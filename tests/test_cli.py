@@ -75,6 +75,13 @@ def test_config_refuses_removed_keys():
             GroundingConfig.from_dict({"seed": 0, key: value})
 
 
+def test_config_refuses_more_heads_than_attention_columns():
+    # 8 heads over 4 columns would be 8 heads of width 1, an attention width of 8
+    GroundingConfig(attn_heads=4, attn_hidden=4).validate()
+    with pytest.raises(ConfigError, match="^attn_heads 8 exceeds attn_hidden 4"):
+        GroundingConfig(attn_heads=8, attn_hidden=4).validate()
+
+
 def test_config_requires_positive_lr():
     for lr in (0.0, -1.0):
         with pytest.raises(ConfigError, match="lr"):
@@ -169,6 +176,14 @@ def test_cli_seed_env_var_and_flag_precedence(tmp_path, fast_cfg, monkeypatch, c
     capsys.readouterr()
     assert main(["gen-data", "--config", fast_cfg, "--out", str(tmp_path / "d")]) == 1
     assert "GROUNDBOX_SEED: invalid literal" in capsys.readouterr().err
+    # a negative seed is refused by name, from the variable or from the flag
+    monkeypatch.setenv("GROUNDBOX_SEED", "-3")
+    assert main(["gen-data", "--config", fast_cfg, "--out", str(tmp_path / "d")]) == 1
+    assert "seed must be >= 0, got -3" in capsys.readouterr().err
+    assert main(["gen-data", "--config", fast_cfg, "--seed", "-1",
+                 "--out", str(tmp_path / "d")]) == 1
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 def test_cli_flag_overrides_config_file(tmp_path, fast_cfg):
@@ -181,7 +196,7 @@ def test_cli_flag_overrides_config_file(tmp_path, fast_cfg):
 def test_cli_train_eval_pipeline(tmp_path, fast_cfg):
     data = tmp_path / "data"
     run = tmp_path / "run"
-    report = tmp_path / "report.json"
+    report = tmp_path / "reports" / "report.json"  # a directory that does not exist yet
     assert main(["gen-data", "--config", fast_cfg, "--out", str(data)]) == 0
     assert main(["train", "--config", fast_cfg, "--data", str(data),
                  "--mode", "loss-weight", "--out", str(run)]) == 0
@@ -305,6 +320,8 @@ def test_cli_eval_load_errors_name_the_checkpoint(tmp_path, fast_cfg, capsys):
     assert f"{manifest_path}: d must be an int, got 8.5" in err
     err = eval_error(lambda m: m["config"].update(epochs=True))
     assert f"{manifest_path}: epochs must be an int, got True" in err
+    err = eval_error(lambda m: m["config"].update(seed=-1))
+    assert f"{manifest_path}: seed must be >= 0, got -1" in err
     for config in ([], "d"):
         err = eval_error(lambda m: m.update(config=config))
         assert f"{manifest_path}: config must be an object of fields, got {config!r}" in err

@@ -709,7 +709,8 @@ def test_gradient_cases_cover_every_recording_op():
 
 def _check_gradients(makers, op, m, n, flags, seed):
     """The adjoints op records for the inputs whose flag is set, against
-    central differences; inputs without one get none."""
+    central differences and byte for byte against the run where every input
+    requires grad; inputs without one get none."""
     rng = np.random.default_rng(seed)
     inputs = [Tensor(make(rng, (m, n)), requires_grad=flag)
               for make, flag in zip(makers, flags)]
@@ -718,16 +719,24 @@ def _check_gradients(makers, op, m, n, flags, seed):
     def f():
         return float(np.sum(op(*inputs).data * weight.data))
 
-    with Tape() as tape:
-        out = op(*inputs)
-        if tape.nodes:
-            backward(_sum(T.mul(out, weight)))
+    def run(tensors):
+        with Tape() as tape:
+            out = op(*tensors)
+            if tape.nodes:
+                backward(_sum(T.mul(out, weight)))
+        return tape
+
+    tape = run(inputs)
+    every = [Tensor(t.data.copy(), requires_grad=True) for t in inputs]
+    run(every)
     if not any(t.requires_grad for t in inputs):
         assert tape.nodes == []
-    for t in inputs:
+    for t, full in zip(inputs, every):
         if not t.requires_grad:
             assert t.grad is None
             continue
+        assert ((t.grad.dtype, t.grad.shape, t.grad.tobytes())
+                == (full.grad.dtype, full.grad.shape, full.grad.tobytes()))
         numeric = np.zeros_like(t.data)
         for i in np.ndindex(t.data.shape):
             orig = t.data[i]
