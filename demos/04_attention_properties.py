@@ -16,7 +16,7 @@ rng = np.random.default_rng(0)
 x = rng.standard_normal((6, 8))
 perm = rng.permutation(6)
 
-stack = MultiHeadAttentionStack(d=8, layers=2, heads=3, hidden=12, p_drop=0.0,
+stack = MultiHeadAttentionStack(d=8, layers=2, heads=3, hidden=12,
                                 rng=np.random.default_rng(1))
 
 

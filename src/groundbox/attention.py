@@ -31,7 +31,7 @@ def scaled_dot_attention(q, K, V, heads=1, key_mask=None):
 
 
 class _AttentionLayer:
-    def __init__(self, d, heads, head_dim, ff_hidden, p_drop, rng):
+    def __init__(self, d, heads, head_dim, ff_hidden, rng):
         # head h's q, k and v blocks are drawn in turn and sit in columns
         # h*head_dim..(h+1)*head_dim of the layer's Wq, Wk and Wv
         draws = [T.uniform_init(rng, (d, head_dim), fan_in=d).data
@@ -49,16 +49,15 @@ class _AttentionLayer:
         self.b2 = T.uniform_init(rng, (d,), fan_in=ff_hidden)
         self.ln2_g = Tensor([1.0] * d, requires_grad=True)
         self.ln2_b = Tensor([0.0] * d, requires_grad=True)
-        self.p_drop = p_drop
 
-    def forward(self, x, mask=None, keep=(None, None)):
-        """keep: the dropout keep-masks of the attention and feed-forward
+    def forward(self, x, mask=None, drop=(None, None)):
+        """drop: the dropout multipliers of the attention and feed-forward
         outputs, each of x's shape or None (no dropout)."""
         attn = scaled_dot_attention(x @ self.Wq, x @ self.Wk, x @ self.Wv,
                                     heads=self.n_heads, key_mask=mask) @ self.Wo
-        x = T.residual_norm(x, attn, self.ln1_g, self.ln1_b, keep[0], self.p_drop)
+        x = T.residual_norm(x, attn, self.ln1_g, self.ln1_b, drop[0])
         ff = T.mlp(x, self.W1, self.b1, self.W2, self.b2)
-        return T.residual_norm(x, ff, self.ln2_g, self.ln2_b, keep[1], self.p_drop)
+        return T.residual_norm(x, ff, self.ln2_g, self.ln2_b, drop[1])
 
     def params(self, prefix):
         out = {f"{prefix}.Wq": self.Wq, f"{prefix}.Wk": self.Wk,
@@ -89,24 +88,25 @@ class MultiHeadAttentionStack:
     attention. Every other sublayer works row by row.
     """
 
-    def __init__(self, d, layers=2, heads=6, hidden=256, p_drop=0.2, rng=None):
-        head_dim = max(hidden // heads, 1)
-        self.layers = [_AttentionLayer(d, heads, head_dim, hidden, p_drop, rng)
+    def __init__(self, d, layers=2, heads=6, hidden=256, *, rng):
+        if heads > hidden:
+            raise ShapeError(f"{heads} heads exceed the attention hidden width {hidden}")
+        self.layers = [_AttentionLayer(d, heads, hidden // heads, hidden, rng)
                        for _ in range(layers)]
 
-    def forward(self, queries, mask=None, keep=None):
+    def forward(self, queries, mask=None, drop=None):
         """queries: (B*O, d) Tensor -> (B*O, d) Tensor of interaction encodings.
 
         mask: (B, O) real-query booleans, or None for one sequence of O queries.
-        keep: two (B*O, d) dropout keep-masks per layer, in layer order, or
+        drop: two (B*O, d) dropout multipliers per layer, in layer order, or
         None (no dropout).
         """
-        keep = keep or [None] * (2 * len(self.layers))
+        drop = drop or [None] * (2 * len(self.layers))
         rows, width = queries.data.shape
         L = rows if mask is None else mask.shape[1]
         x = T.add(queries, Tensor(np.tile(positional_encoding(L, width), (rows // L, 1))))
         for i, layer in enumerate(self.layers):
-            x = layer.forward(x, mask, keep[2 * i:2 * i + 2])
+            x = layer.forward(x, mask, drop[2 * i:2 * i + 2])
         return x
 
     def params(self, prefix="attn"):

@@ -15,12 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .config import MODE_NAMES, GroundingConfig, parse_config_file
+from .config import MODE_NAMES, ConfigError, GroundingConfig, parse_config_file
 from .data import DataError, generate_synthetic, load_segments, save_segments
 from .evaluate import EvalReport, per_class_delta, evaluate_model
 from .gradcheck import finite_diff_check
 from .model import GroundingModel, load_into_model
-from .tensor import ConfigError, ShapeError
+from .tensor import ShapeError
 from .train import checkpoint_load, train
 
 GRADCHECK_TOLERANCE = 1e-4
@@ -75,22 +75,31 @@ def _build_parser():
 
 
 def _config_from_args(args, extra_defaults=None):
-    # precedence: flag > GROUNDBOX_SEED env (seed only) > file key > default
-    values = dict(extra_defaults or {})
-    if getattr(args, "config", None):
-        values.update(parse_config_file(args.config))
+    # precedence: flag > GROUNDBOX_SEED env (seed only) > file key > default;
+    # an error names the file unless the flags and the env alone raise it
+    defaults = dict(extra_defaults or {})
+    from_file = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    overrides = {}
     if args.seed is None and "GROUNDBOX_SEED" in os.environ:
         try:
-            values["seed"] = int(os.environ["GROUNDBOX_SEED"])
+            overrides["seed"] = int(os.environ["GROUNDBOX_SEED"])
         except ValueError as exc:
             raise ConfigError(f"GROUNDBOX_SEED: {exc}") from exc
     for key in ("seed", "lam", "delta", "T", "N"):
         val = getattr(args, key, None)
         if val is not None:
-            values[key] = val
+            overrides[key] = val
     if getattr(args, "mode", None):
-        values["mode"] = args.mode
-    return GroundingConfig.from_dict(values)
+        overrides["mode"] = args.mode
+    try:
+        return GroundingConfig.from_dict({**defaults, **from_file, **overrides})
+    except ConfigError as exc:
+        try:
+            GroundingConfig.from_dict({**defaults, **overrides})
+        except ConfigError as bare:
+            if str(bare) == str(exc):
+                raise exc
+        raise ConfigError(f"{args.config}: {exc}") from exc
 
 
 def _load_dataset(data_dir, config, source):
@@ -209,7 +218,10 @@ def _cmd_gradcheck(args):
 def _cmd_compare(args):
     report_a, _ = EvalReport.load(args.a)
     report_b, _ = EvalReport.load(args.b)
-    deltas = per_class_delta(report_a, report_b)
+    try:
+        deltas = per_class_delta(report_a, report_b)
+    except ValueError as exc:
+        raise ValueError(f"{args.a} and {args.b}: {exc}") from exc
     print("top 10 increases (a - b):")
     for label, diff in deltas[:10]:
         print(f"  {label:>12s}  {diff:+.4f}")

@@ -5,7 +5,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .tensor import ConfigError
+
+class ConfigError(ValueError):
+    pass
 
 
 class LossMode(enum.Enum):

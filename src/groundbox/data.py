@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import ConfigError
+from .config import ConfigError
 
 REFERRING_EXPRESSIONS = ("it", "them", "that", "they")
 FORMAT = 2  # of the dataset directory; features.json names it
@@ -144,11 +144,8 @@ def generate_synthetic(config, seed=None):
     vocab = Vocabulary(labels)
 
     protos = rng.standard_normal((V, D_in))
-    proto_of = list(range(V))
-    for j in range(n_refer):
-        # referring expression shares the referent's prototype (and boxes)
-        proto_of[V - n_refer + j] = j
-        protos[V - n_refer + j] = protos[j]
+    # a referring expression's row is a copy of its referent's prototype
+    protos[V - n_refer:] = protos[:n_refer]
 
     def make_segment(sid, split):
         F, N = config.frames_per_segment, config.N
@@ -181,7 +178,7 @@ def generate_synthetic(config, seed=None):
                     rng.standard_normal(out=draws[f, i])
                     boxes.append(_distractor_box(rng, CANVAS, avoid))
                 else:
-                    draws[f, i, 0] = protos[proto_of[query_labels[owner]]]
+                    draws[f, i, 0] = protos[query_labels[owner]]
                     rng.standard_normal(out=draws[f, i, 1])
                     boxes.append(true_boxes[owner])
             gt.extend((k, f, true_boxes[k]) for k in present)

@@ -43,25 +43,24 @@ class ProposalEncoder:
     Hidden width is round(sqrt(D_in * d)) since only the endpoints are fixed.
     """
 
-    def __init__(self, D_in, d, rng, p_drop=0.2):
+    def __init__(self, D_in, d, rng):
         h = max(1, round(math.sqrt(D_in * d)))
         self.D_in = D_in
-        self.p_drop = p_drop
         self.W1 = T.uniform_init(rng, (D_in, h), fan_in=D_in)
         self.b1 = T.uniform_init(rng, (h,), fan_in=D_in)
         self.W2 = T.uniform_init(rng, (h, d), fan_in=h)
         self.b2 = T.uniform_init(rng, (d,), fan_in=h)
 
-    def encode(self, features, keep=None):
+    def encode(self, features, drop=None):
         """features: (m, D_in) array or Tensor -> (m, d) Tensor.
 
-        keep: (m, h) dropout keep-mask of the hidden layer, or None (no dropout).
+        drop: (m, h) dropout multipliers of the hidden layer, or None (no dropout).
         """
         x = features if isinstance(features, Tensor) else Tensor(features)
         if x.data.ndim != 2 or x.data.shape[1] != self.D_in:
             raise ShapeError(
                 f"proposal features must be (m, {self.D_in}), got {x.data.shape}")
-        return T.mlp(x, self.W1, self.b1, self.W2, self.b2, keep, self.p_drop)
+        return T.mlp(x, self.W1, self.b1, self.W2, self.b2, drop)
 
     def params(self, prefix="prop"):
         return {f"{prefix}.W1": self.W1, f"{prefix}.b1": self.b1,

@@ -19,11 +19,10 @@ class GroundingModel:
         rng = rng or np.random.default_rng(config.seed)
         self.config = config
         self.query_enc = QueryEncoder(config.V, config.d, rng)
-        self.prop_enc = ProposalEncoder(config.D_in, config.d, rng,
-                                        p_drop=config.dropout)
+        self.prop_enc = ProposalEncoder(config.D_in, config.d, rng)
         self.attn = MultiHeadAttentionStack(
             config.d, layers=config.attn_layers, heads=config.attn_heads,
-            hidden=config.attn_hidden, p_drop=config.dropout, rng=rng)
+            hidden=config.attn_hidden, rng=rng)
         self.lang_W = T.uniform_init(rng, (2 * config.d, config.T_prime),
                                      fan_in=2 * config.d)
         self.lang_b = T.uniform_init(rng, (config.T_prime,), fan_in=2 * config.d)
@@ -77,8 +76,8 @@ class GroundingModel:
         blocks = list(zip(segments, frames)) + [
             (negs[j], [min(f, negs[j].n_frames - 1) for f in fr])
             for j in range(n_vis) for negs, fr in zip(neg_visual, frames)]
-        keep = self._batch_noise(noise, n_vis, mask[0])
-        encoded = self.prop_enc.encode(stack_features(blocks), keep[0] if keep else None)
+        drop = self._batch_noise(noise, n_vis, mask[0])
+        encoded = self.prop_enc.encode(stack_features(blocks), drop[0] if drop else None)
         B, d = len(batch), encoded.data.shape[1]
         P = T.reshape(encoded, (1 + n_vis, B, encoded.data.shape[0] // len(blocks), d))
         a = G.similarity_cube(Q, P, Tn)                 # (1+K+K', B, O, T*N)
@@ -94,7 +93,7 @@ class GroundingModel:
             return G.weighted_segment_loss(T.take(c, 0), rank_vec, cfg.lam)
 
         rows = T.reshape(T.take(Q, 0), (-1, d))         # (B*O, d), row-wise layers
-        J = self.attn.forward(rows, mask[0], keep[1:])
+        J = self.attn.forward(rows, mask[0], drop[1:])
         c_lang = G.language_confidence(J, rows, self.lang_W, self.lang_b, mask[0])
         if mode is LossMode.OBJECT_INTERACTION:
             return G.language_weighted_segment_loss(rank_vec, c_lang, cfg.lam)
@@ -119,20 +118,21 @@ class GroundingModel:
         return [rng.random(shape) >= cfg.dropout for shape in shapes]
 
     def _batch_noise(self, noise, n_vis, mask):
-        """The items' draw_dropout keep-masks in the batch graph's layout:
-        proposal rows block-major, attention rows padded to (B*O, d)."""
+        """The items' draw_dropout keep-masks as the batch graph's dropout
+        multipliers, 1/(1-p) or 0, the one place p scales anything: proposal
+        rows block-major, attention rows padded to (B*O, d), padding kept."""
         if not noise or not noise[0]:
             return []
         B, O = mask.shape
         prop = np.stack([u[0] for u in noise])                  # (B, (1+K)*T*N, h)
         prop = prop.reshape(B, 1 + n_vis, -1, prop.shape[-1]).swapaxes(0, 1)
-        out = [prop.reshape(-1, prop.shape[-1])]
+        keep = [prop.reshape(-1, prop.shape[-1])]
         for site in range(1, len(noise[0])):
             rows = np.ones((B, O, self.config.d), dtype=bool)
             for b, u in enumerate(noise):
                 rows[b, :len(u[site])] = u[site]
-            out.append(rows.reshape(B * O, -1))
-        return out
+            keep.append(rows.reshape(B * O, -1))
+        return [np.where(k, 1.0 / (1.0 - self.config.dropout), 0.0) for k in keep]
 
     def _queries(self, blocks):
         """Query embeddings of blocks of B label lists each, every list padded

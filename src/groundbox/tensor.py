@@ -12,8 +12,8 @@ penalty -log 2c. So are each attention sublayer's ``residual_norm``,
 layer_norm(x + dropout(y)), and the language head, ``language_head``;
 ``sigmoid`` serves graphs outside the model (demo 01, smooth test losses).
 The only operator sugar is ``@`` (matmul), and negation is
-``scale(x, -1.0)``. Nothing in a graph draws random numbers: dropout applies
-a boolean keep-mask planned before the forward pass.
+``scale(x, -1.0)``. No op draws random numbers or knows a dropout
+probability: dropout multiplies by an array planned before the forward pass.
 
 Both two-layer MLPs (the proposal encoder and the attention feed-forward)
 run as one ``mlp`` node, ``relu(dropout(x W1 + b1)) W2 + b2``. It upcasts a
@@ -54,10 +54,6 @@ import numpy as np
 
 
 class ShapeError(ValueError):
-    pass
-
-
-class ConfigError(ValueError):
     pass
 
 
@@ -461,23 +457,17 @@ def masked_mean(x, axis, mask=None):
     return _record("masked_mean", out, (x,), bwd)
 
 
-def residual_norm(x, y, gain, bias, keep=None, p=0.0):
-    """layer_norm(x + dropout(y, keep, p)) of each row, then gain and bias, as
-    one tape node: a residual sublayer of the attention stack.
-
-    x, y: (m, n); gain, bias: (n,). keep: booleans of y's shape, False where
-    dropout zeroes an entry of y, whose survivors are scaled by 1/(1-p); or
-    None (no dropout). Draws nothing.
+def residual_norm(x, y, gain, bias, drop=None):
+    """layer_norm(x + y * drop) of each row, then gain and bias, as one tape
+    node: a residual sublayer of the attention stack. x, y: (m, n); gain,
+    bias: (n,); drop: y's dropout multipliers, of y's shape, or None.
     """
-    if not 0.0 <= p < 1.0:
-        raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
     if x.data.ndim != 2 or y.data.shape != x.data.shape:
         raise ShapeError(f"residual_norm expects two equal 2-D shapes, got "
                          f"{x.data.shape} and {y.data.shape}")
-    if keep is not None and keep.shape != y.data.shape:
-        raise ShapeError(f"residual_norm: mask of shape {keep.shape} for input "
+    if drop is not None and drop.shape != y.data.shape:
+        raise ShapeError(f"residual_norm: mask of shape {drop.shape} for input "
                          f"{y.data.shape}")
-    drop = None if keep is None else np.where(keep, 1.0 / (1.0 - p), 0.0)
     s = x.data + (y.data if drop is None else y.data * drop)
     mu = s.mean(axis=-1, keepdims=True)
     sd = np.sqrt(s.var(axis=-1, keepdims=True) + 1e-6)
@@ -513,19 +503,17 @@ def _mlp_chunk_rows(n):
     return _MLP_ROW_BLOCK * -(-_MLP_CHUNK // (_MLP_ROW_BLOCK * max(n, 1)))
 
 
-def mlp(x, W1, b1, W2, b2, keep=None, p=0.0):
-    """relu(dropout(x W1 + b1, keep, p)) W2 + b2 as one tape node.
+def mlp(x, W1, b1, W2, b2, drop=None):
+    """relu((x W1 + b1) * drop) W2 + b2 as one tape node.
 
-    x: (m, n), W1: (n, h), b1: (h,), W2: (h, d), b2: (d,) -> (m, d). keep:
-    the (m, h) boolean dropout keep-mask of the hidden layer, or None (no
+    x: (m, n), W1: (n, h), b1: (h,), W2: (h, d), b2: (d,) -> (m, d). drop:
+    the (m, h) dropout multipliers of the hidden layer, or None (no
     dropout). The hidden layer is one float64 buffer, written chunk by chunk
     and then biased, scaled and rectified in place; the node keeps only it.
     Backward gathers the rows whose output adjoint is nonzero (behind a max
     over proposals, most rows carry none), forms every adjoint from them and
     scatters x's into zeros.
     """
-    if not 0.0 <= p < 1.0:
-        raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
     if (x.data.ndim != 2 or W1.data.ndim != 2 or W2.data.ndim != 2
             or W1.data.shape[0] != x.data.shape[1] or b1.data.shape != W1.data.shape[1:]
             or W2.data.shape[0] != W1.data.shape[1] or b2.data.shape != W2.data.shape[1:]):
@@ -533,8 +521,8 @@ def mlp(x, W1, b1, W2, b2, keep=None, p=0.0):
                          f"b1 {b1.data.shape}, W2 {W2.data.shape}, b2 {b2.data.shape} "
                          "do not chain")
     (m, n), width = x.data.shape, W1.data.shape[1]
-    if keep is not None and keep.shape != (m, width):
-        raise ShapeError(f"mlp: mask of shape {keep.shape} for a hidden layer of "
+    if drop is not None and drop.shape != (m, width):
+        raise ShapeError(f"mlp: mask of shape {drop.shape} for a hidden layer of "
                          f"{(m, width)}")
     h = np.empty((m, width))
     rows = _mlp_chunk_rows(n)
@@ -542,10 +530,8 @@ def mlp(x, W1, b1, W2, b2, keep=None, p=0.0):
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         np.matmul(x.data[lo:hi], W1.data, out=h[lo:hi])
     h += b1.data
-    scale = 1.0 / (1.0 - p)
-    if keep is not None:
-        h *= keep
-        h *= scale
+    if drop is not None:
+        h *= drop
     np.maximum(0.0, h, out=h)
     y = h @ W2.data
     y += b2.data
@@ -558,8 +544,8 @@ def mlp(x, W1, b1, W2, b2, keep=None, p=0.0):
         _accumulate(W2, hr.T @ g)
         gz = g @ W2.data.T
         gz *= hr > 0
-        if keep is not None:
-            gz *= scale
+        if drop is not None:
+            gz *= drop[rows]
         _accumulate(b1, gz.sum(axis=0))
         _accumulate(W1, x.data[rows].T @ gz)
         if x.requires_grad:  # proposal features, the one large constant: skip an (m x n) adjoint

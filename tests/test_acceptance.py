@@ -200,7 +200,7 @@ def test_criterion_7_attention_properties(verdict):
     out = scaled_dot_attention(q, Tensor(rng.standard_normal((1, 5))), v)
     checks.append(bool(np.array_equal(out.data, np.tile(v.data, (4, 1)))))
 
-    pos = MultiHeadAttentionStack(d=8, layers=2, heads=3, hidden=12, p_drop=0.0,
+    pos = MultiHeadAttentionStack(d=8, layers=2, heads=3, hidden=12,
                                   rng=np.random.default_rng(1))
 
     def plain(x):  # the stack's layers without its positional encoding

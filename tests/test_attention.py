@@ -50,7 +50,7 @@ def test_scaled_dot_shape_errors():
 
 def _stack(d=8, seed=0):
     return MultiHeadAttentionStack(d=d, layers=2, heads=3, hidden=12,
-                                   p_drop=0.0, rng=np.random.default_rng(seed))
+                                   rng=np.random.default_rng(seed))
 
 
 def _layers_only(stack, x):
@@ -115,16 +115,26 @@ def test_stack_gradcheck():
 
 
 def test_stack_passes_two_keep_masks_per_layer_in_order():
-    stack = MultiHeadAttentionStack(d=8, layers=2, heads=3, hidden=12, p_drop=0.5,
+    stack = MultiHeadAttentionStack(d=8, layers=2, heads=3, hidden=12,
                                     rng=np.random.default_rng(0))
     rng = np.random.default_rng(8)
     x = Tensor(rng.standard_normal((5, 8)))
-    keep = [rng.random((5, 8)) >= 0.5 for _ in range(4)]
+    drop = [np.where(rng.random((5, 8)) >= 0.5, 2.0, 0.0) for _ in range(4)]
     want = T.add(x, Tensor(positional_encoding(5, 8)))
     for i, layer in enumerate(stack.layers):
-        want = layer.forward(want, keep=keep[2 * i:2 * i + 2])
-    assert np.array_equal(stack.forward(x, keep=keep).data, want.data)
+        want = layer.forward(want, drop=drop[2 * i:2 * i + 2])
+    assert np.array_equal(stack.forward(x, drop=drop).data, want.data)
     assert not np.allclose(stack.forward(x).data, want.data)
+
+
+def test_stack_refuses_more_heads_than_hidden_columns():
+    # 8 heads over 4 columns would be 8 heads of width 1, an attention width of 8
+    rng = np.random.default_rng(0)
+    assert MultiHeadAttentionStack(d=4, heads=4, hidden=4, rng=rng).layers[0].Wq.shape == (4, 4)
+    with pytest.raises(ShapeError, match=r"^8 heads exceed the attention hidden width 4"):
+        MultiHeadAttentionStack(d=4, heads=8, hidden=4, rng=rng)
+    with pytest.raises(TypeError, match="rng"):
+        MultiHeadAttentionStack(d=4)
 
 
 def test_stack_runs_on_more_queries_than_any_table_length():

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from groundbox.cli import main
-from groundbox.config import GroundingConfig, LossMode, parse_config_file
+from groundbox.config import ConfigError, GroundingConfig, LossMode, parse_config_file
 from groundbox.data import load_segments
 from groundbox.model import GroundingModel
-from groundbox.tensor import ConfigError
 
 FAST = ("T=3\nT_prime=2\nd=8\nD_in=6\nV=12\nN=4\nattn_layers=1\nattn_heads=2\n"
         "attn_hidden=8\ndropout=0.0\nframes_per_segment=4\n"
@@ -93,6 +92,13 @@ def test_config_requires_momentum_in_unit_interval():
     for momentum in (-0.1, 1.0, 1.5):
         with pytest.raises(ConfigError, match="momentum"):
             GroundingConfig(momentum=momentum).validate()
+
+
+def test_config_requires_dropout_in_unit_interval():
+    GroundingConfig(dropout=0.0).validate()
+    for dropout in (1.0, -0.1):
+        with pytest.raises(ConfigError, match=f"^dropout must be in \\[0, 1\\), got {dropout}"):
+            GroundingConfig(dropout=dropout).validate()
 
 
 def test_config_requires_nonnegative_sigma():
@@ -183,6 +189,24 @@ def test_cli_seed_env_var_and_flag_precedence(tmp_path, fast_cfg, monkeypatch, c
     assert main(["gen-data", "--config", fast_cfg, "--seed", "-1",
                  "--out", str(tmp_path / "d")]) == 1
     assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("line, want", [("lr=-1", "lr must be positive, got -1.0"),
+                                        ("mode=bogus", "unknown mode 'bogus'")])
+def test_cli_names_the_config_file_of_a_bad_value(tmp_path, fast_cfg, capsys, line, want):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(FAST + line + "\n")
+    assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "d")]) == 1
+    assert f"error: {bad}: {want}" in capsys.readouterr().err
+    # a bad value from a flag alone does not name the file
+    assert main(["gen-data", "--config", fast_cfg, "--lam", "2",
+                 "--out", str(tmp_path / "d")]) == 1
+    assert "error: lam must be in [0, 1], got 2.0" in capsys.readouterr().err
+    # one that needs a file key and a flag together names the file
+    assert main(["gen-data", "--config", fast_cfg, "--T", "1",
+                 "--out", str(tmp_path / "d")]) == 1
+    assert f"error: {fast_cfg}: need 1 <= T_prime <= T" in capsys.readouterr().err
     assert not (tmp_path / "d").exists()
 
 
@@ -373,8 +397,11 @@ def test_cli_compare_mismatch_exits_1(tmp_path, capsys):
     b = dict(a, per_class={"y": {"acc": 0.0, "n": 1}})
     (tmp_path / "a.json").write_text(json.dumps(a))
     (tmp_path / "b.json").write_text(json.dumps(b))
+    capsys.readouterr()
     assert main(["compare", "--a", str(tmp_path / "a.json"),
                  "--b", str(tmp_path / "b.json")]) == 1
+    assert (f"{tmp_path / 'a.json'} and {tmp_path / 'b.json'}: reports cover different "
+            "class sets") in capsys.readouterr().err
     # a report without per-class accuracies is named with the missing field
     del b["per_class"]
     (tmp_path / "b.json").write_text(json.dumps(b))

@@ -60,21 +60,22 @@ def test_proposal_encoder_rejects_wrong_width():
 
 
 def test_proposal_encoder_eval_deterministic_train_stochastic():
-    enc = ProposalEncoder(D_in=10, d=4, rng=np.random.default_rng(0), p_drop=0.5)
+    enc = ProposalEncoder(D_in=10, d=4, rng=np.random.default_rng(0))
     x = np.random.default_rng(1).standard_normal((3, 10))
     a = enc.encode(x).data
     b = enc.encode(x).data
     assert np.array_equal(a, b)
     h = enc.W1.data.shape[1]
-    keep_c, keep_d = (np.random.default_rng(seed).random((3, h)) >= 0.5 for seed in (2, 3))
-    c = enc.encode(x, keep_c).data
-    d = enc.encode(x, keep_d).data
+    drop_c, drop_d = (np.where(np.random.default_rng(seed).random((3, h)) >= 0.5, 2.0, 0.0)
+                      for seed in (2, 3))
+    c = enc.encode(x, drop_c).data
+    d = enc.encode(x, drop_d).data
     assert not np.array_equal(c, d)
-    assert np.array_equal(enc.encode(x, keep_c).data, c)  # the mask is the only noise
+    assert np.array_equal(enc.encode(x, drop_c).data, c)  # the mask is the only noise
 
 
 def test_proposal_encoder_gradcheck():
-    enc = ProposalEncoder(D_in=6, d=3, rng=np.random.default_rng(4), p_drop=0.0)
+    enc = ProposalEncoder(D_in=6, d=3, rng=np.random.default_rng(4))
     x = np.random.default_rng(5).standard_normal((4, 6))
 
     def f():

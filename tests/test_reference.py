@@ -16,7 +16,11 @@ It follows the formulas of the README and of Zhou et al. (arXiv 1805.02834,
   t_s = min(ceil(t / ceil(T/T')), T'), and the frame weights C_t,
   C_lang^{t_s} and their mean;
 - the weighted loss (1/T) sum_t [lam w_t L_rank^t + (1-lam) D(w_t)];
-- grounding: at each frame, each query picks its most similar proposal.
+- grounding: at each frame, each query picks its most similar proposal;
+- dropout: a keep-mask of the item's own (its draw_dropout masks) turns
+  into the multipliers where(keep, 1/(1-p), 0), applied to the proposal
+  MLP's hidden layer before the relu and to the sublayer output y of each
+  LN(x + y) of the attention stack.
 """
 
 import dataclasses
@@ -42,11 +46,12 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _encode(model, segment, frames):
-    """(T, N, d) proposal encodings of segment at frames, dropout off."""
+def _encode(model, segment, frames, drop=1.0):
+    """(T, N, d) proposal encodings of segment at frames; drop: the (T, N, h)
+    dropout multipliers of the hidden layer, or 1 (dropout off)."""
     enc = model.prop_enc
     x = segment.frames["feature"][frames].astype(np.float64)
-    h = np.maximum(x @ enc.W1.data + enc.b1.data, 0.0)
+    h = np.maximum((x @ enc.W1.data + enc.b1.data) * drop, 0.0)
     return h @ enc.W2.data + enc.b2.data
 
 
@@ -69,13 +74,15 @@ def _layer_norm(x, gain, bias):
     return (x - mu) / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-6) * gain + bias
 
 
-def _attention(model, q):
-    """(O, d) interaction encodings J of one segment's queries q (O, d)."""
+def _attention(model, q, drops):
+    """(O, d) interaction encodings J of one segment's queries q (O, d);
+    drops: two (O, d) dropout multipliers per layer, attention sublayer
+    first, or 1 for each (dropout off)."""
     O, d = q.shape
     j = np.arange(d)
     angle = np.arange(O)[:, None] / 10000.0 ** (2 * (j // 2) / d)
     x = q + np.where(j % 2 == 0, np.sin(angle), np.cos(angle))
-    for layer in model.attn.layers:
+    for layer, drop_attn, drop_ff in zip(model.attn.layers, drops[0::2], drops[1::2]):
         Q, K, V = (x @ W.data for W in (layer.Wq, layer.Wk, layer.Wv))
         w = Q.shape[1] // layer.n_heads
         heads = []
@@ -83,29 +90,37 @@ def _attention(model, q):
             c = slice(h * w, (h + 1) * w)
             heads.append(_softmax(Q[:, c] @ K[:, c].T / math.sqrt(w)) @ V[:, c])
         attn = np.hstack(heads) @ layer.Wo.data
-        x = _layer_norm(x + attn, layer.ln1_g.data, layer.ln1_b.data)
+        x = _layer_norm(x + attn * drop_attn, layer.ln1_g.data, layer.ln1_b.data)
         ff = np.maximum(x @ layer.W1.data + layer.b1.data, 0.0) @ layer.W2.data + layer.b2.data
-        x = _layer_norm(x + ff, layer.ln2_g.data, layer.ln2_b.data)
+        x = _layer_norm(x + ff * drop_ff, layer.ln2_g.data, layer.ln2_b.data)
     return x
 
 
-def _c_lang(model, q):
+def _c_lang(model, q, drops):
     """(T',) language confidence of one segment's queries q (O, d)."""
-    x = np.concatenate([_attention(model, q), q], axis=1)
+    x = np.concatenate([_attention(model, q, drops), q], axis=1)
     return _sigmoid(x @ model.lang_W.data + model.lang_b.data).mean(axis=0)
 
 
-def reference_loss(model, item):
+def reference_loss(model, item, keep=()):
     """The loss of one (segment, visual negatives, sentence negatives, frames)
-    item under the model's configured mode."""
+    item under the model's configured mode. keep: the item's draw_dropout
+    keep-masks, or none (dropout off)."""
     cfg = model.config
     segment, neg_visual, neg_sentences, frames = item
+    blocks, N = 1 + len(neg_visual), segment.frames.shape[1]
+    drops = [np.where(k, 1.0 / (1.0 - cfg.dropout), 0.0) for k in keep]
+    # the proposal mask holds the item's blocks one after the other, each
+    # frame-major; the attention masks follow in layer order
+    prop = drops[0].reshape(blocks, len(frames), N, -1) if drops else [1.0] * blocks
+    drops = drops[1:] or [1.0] * (2 * len(model.attn.layers))
     W = model.query_enc.W.data
     q = W[segment.query_labels]
-    r = _encode(model, segment, frames)
+    r = _encode(model, segment, frames, prop[0])
     pairings = [_scores(q, r)]
-    pairings += [_scores(q, _encode(model, neg, [min(f, neg.n_frames - 1) for f in frames]))
-                 for neg in neg_visual]
+    pairings += [_scores(q, _encode(model, neg, [min(f, neg.n_frames - 1) for f in frames],
+                                    drop))
+                 for neg, drop in zip(neg_visual, prop[1:])]
     pairings += [_scores(W[labels], r) for labels in neg_sentences]
     if cfg.mode is LossMode.DVSA:
         s = [a.max(axis=(1, 2)).mean() for a in pairings]
@@ -116,7 +131,7 @@ def reference_loss(model, item):
     if cfg.mode is LossMode.LOSS_WEIGHTING:
         w = c[0]
     else:
-        c_lang = _c_lang(model, q)
+        c_lang = _c_lang(model, q, drops)
         Tp = len(c_lang)
         snippet = [min(math.ceil(t / math.ceil(n_frames / Tp)), Tp)
                    for t in range(1, n_frames + 1)]
@@ -133,10 +148,10 @@ def reference_picks(model, segment, frames):
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(list(LossMode)), st.integers(1, 2), st.integers(1, 2),
-       st.integers(1, BASE.frames_per_segment), st.data())
-def test_segment_loss_matches_the_numpy_reference(mode, K, K_sent, n_frames, data):
+       st.integers(1, BASE.frames_per_segment), st.sampled_from([0.0, 0.3]), st.data())
+def test_segment_loss_matches_the_numpy_reference(mode, K, K_sent, n_frames, p, data):
     Tp = data.draw(st.integers(1, n_frames))
-    config = BASE.replace(mode=mode.value, T=n_frames, T_prime=Tp,
+    config = BASE.replace(mode=mode.value, T=n_frames, T_prime=Tp, dropout=p,
                           seed=data.draw(st.integers(0, 2**31 - 1)))
     model = GroundingModel(config)
     index = st.integers(0, len(POOL) - 1)
@@ -151,9 +166,11 @@ def test_segment_loss_matches_the_numpy_reference(mode, K, K_sent, n_frames, dat
                       [data.draw(labels) for _ in range(K_sent)],
                       sorted(data.draw(st.lists(frame, min_size=n_frames,
                                                 max_size=n_frames)))))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    noise = [model.draw_dropout(item[0], K, n_frames, rng) for item in batch]
     with no_grad():
-        got = model.segment_loss(batch).data
-    want = np.array([reference_loss(model, item) for item in batch])
+        got = model.segment_loss(batch, noise).data
+    want = np.array([reference_loss(model, item, keep) for item, keep in zip(batch, noise)])
     assert np.allclose(got, want, rtol=1e-12, atol=0)
     scored = [np.unique(item[3]) for item in batch]
     picks = model.predict([item[0] for item in batch], scored)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from groundbox import tensor as T
 from groundbox.attention import scaled_dot_attention
 from groundbox.gradcheck import finite_diff_check
-from groundbox.tensor import ConfigError, ShapeError, Tape, Tensor, backward
+from groundbox.tensor import ShapeError, Tape, Tensor, backward
 
 
 def _sum(x):
@@ -249,30 +249,23 @@ def _residual_inputs():
 
 
 def test_dropout_eval_mode_is_identity():
-    # without a mask y enters unscaled, whatever p
+    # without multipliers y enters unscaled
     x, y, gain, bias = _residual_inputs()
     summed = T.residual_norm(Tensor(x.data + y.data), Tensor(np.zeros(x.shape)), gain, bias)
-    assert np.array_equal(T.residual_norm(x, y, gain, bias, None, 0.5).data, summed.data)
+    assert np.array_equal(T.residual_norm(x, y, gain, bias, None).data, summed.data)
 
 
 def test_dropout_p_zero_is_identity():
     x, y, gain, bias = _residual_inputs()
-    keep = np.ones(y.shape, dtype=bool)
-    assert np.array_equal(T.residual_norm(x, y, gain, bias, keep, 0.0).data,
+    keep_all = np.ones(y.shape)
+    assert np.array_equal(T.residual_norm(x, y, gain, bias, keep_all).data,
                           T.residual_norm(x, y, gain, bias).data)
-
-
-def test_dropout_rejects_p_one():
-    x, y, gain, bias = _residual_inputs()
-    for keep in (np.ones(y.shape, dtype=bool), None):
-        with pytest.raises(ConfigError):
-            T.residual_norm(x, y, gain, bias, keep, 1.0)
 
 
 def test_dropout_rejects_a_mask_of_another_shape():
     x, y, gain, bias = _residual_inputs()
     with pytest.raises(ShapeError, match=r"mask of shape \(4, 3\)"):
-        T.residual_norm(x, y, gain, bias, np.ones((4, 3), dtype=bool), 0.5)
+        T.residual_norm(x, y, gain, bias, np.ones((4, 3)))
 
 
 def test_dropout_zero_fraction_and_rescale():
@@ -282,7 +275,7 @@ def test_dropout_zero_fraction_and_rescale():
     x, y, gain, bias = _residual_inputs()
     rescale = np.where(keep, 1 / 0.75, 0.0)
     with Tape():
-        out = T.residual_norm(x, y, gain, bias, keep, 0.25)
+        out = T.residual_norm(x, y, gain, bias, rescale)
         backward(_sum(T.mul(out, Tensor(np.arange(12.0).reshape(3, 4)))))
     summed = T.residual_norm(Tensor(x.data + y.data * rescale), Tensor(np.zeros(x.shape)),
                              gain, bias)
@@ -296,16 +289,16 @@ def test_residual_norm_adjoints_do_not_share_a_buffer(masked):
     # x and y get further adjoints after residual_norm's: without a mask both
     # receive the same array, and an in-place add into one must not reach
     # the other
-    keep = np.arange(12).reshape(3, 4) % 2 == 0 if masked else None
+    drop = np.where(np.arange(12).reshape(3, 4) % 2 == 0, 2.0, 0.0) if masked else None
     x, y, gain, bias = _residual_inputs()
     weight = Tensor(np.random.default_rng(1).standard_normal(x.shape))
     with Tape():
-        backward(_sum(T.mul(T.residual_norm(x, y, gain, bias, keep, 0.5), weight)))
+        backward(_sum(T.mul(T.residual_norm(x, y, gain, bias, drop), weight)))
     alone = x.grad.copy(), y.grad.copy()
     x.grad = y.grad = None
     with Tape():
         later = T.add(T.scale(x, 2.0), T.scale(y, 3.0))   # adjoints reach x, y last
-        out = T.residual_norm(x, y, gain, bias, keep, 0.5)
+        out = T.residual_norm(x, y, gain, bias, drop)
         backward(T.add(_sum(T.mul(out, weight)), _sum(later)))
     assert np.array_equal(x.grad, alone[0] + 2.0)
     assert np.array_equal(y.grad, alone[1] + 3.0)
@@ -615,13 +608,13 @@ def _spread_rows(rng, shape):
             + rng.uniform(-0.1, 0.1, shape))
 
 
-def _residual_case(keep_of):
+def _residual_case(drop_of):
     """residual_norm of rows with spread x and a small y: even scaled by
     1/(1-p), y leaves the entries of each row of x + y at least 0.1 apart."""
     return ([_spread_rows, lambda rng, shape: rng.uniform(-0.05, 0.05, shape),
              lambda rng, shape: _normal(rng, shape[1:]),
              lambda rng, shape: _normal(rng, shape[1:])],
-            lambda x, y, gain, bias: T.residual_norm(x, y, gain, bias, keep_of(x.shape), 0.4))
+            lambda x, y, gain, bias: T.residual_norm(x, y, gain, bias, drop_of(x.shape)))
 
 
 def _query_mask(m):
@@ -634,7 +627,8 @@ def _query_mask(m):
 
 
 def _checkerboard(shape):
-    return np.indices(shape).sum(axis=0) % 2 == 0
+    """Inverted-dropout multipliers at p = 0.4 that keep every other entry."""
+    return np.where(np.indices(shape).sum(axis=0) % 2 == 0, 1 / 0.6, 0.0)
 
 
 # op name -> (input makers, each called as maker(rng, (m, n)); op on the Tensors)
@@ -673,17 +667,17 @@ GRAD_CASES = {
 # mlp on (m, n) inputs with a hidden width of 3 and an output width of 2; a
 # fixed 0/1 row weight zeroes the adjoint of every odd output row, as the max
 # over proposals does in the model
-def _mlp_case(keep_of):
+def _mlp_case(drop_of):
     def op(x, W1, b1, W2, b2):
         rows = (np.arange(x.shape[0]) % 2 == 0)[:, None] * np.ones(2)
-        return T.mul(T.mlp(x, W1, b1, W2, b2, keep_of(x.shape[0]), 0.4), Tensor(rows))
+        return T.mul(T.mlp(x, W1, b1, W2, b2, drop_of(x.shape[0])), Tensor(rows))
     return ([_normal, lambda rng, shape: _normal(rng, (shape[1], 3)),
              lambda rng, shape: _normal(rng, (3,)), lambda rng, shape: _normal(rng, (3, 2)),
              lambda rng, shape: _normal(rng, (2,))], op)
 
 
 GRAD_CASES["mlp"] = _mlp_case(lambda m: None)
-# the ops that apply dropout, with a fixed checkerboard keep-mask
+# the ops that apply dropout, with fixed checkerboard multipliers
 MASK_CASES = {"mlp_dropout": _mlp_case(lambda m: _checkerboard((m, 3))),
               "residual_norm_dropout": _residual_case(_checkerboard)}
 
@@ -775,13 +769,13 @@ def _add_bias(z, b):
     return T.add(z, Tensor(np.ones((z.shape[0], 1))) @ T.reshape(b, (1, -1)))
 
 
-def _mlp_reference(x, W1, b1, W2, b2, keep, p):
+def _mlp_reference(x, W1, b1, W2, b2, drop):
     """mlp as the ops it fuses, its dropout and its relu as products with
-    the rescaled keep-mask and with the 0/1 mask of the positive entries
+    the dropout multipliers and with the 0/1 mask of the positive entries
     (subgradient 0 at 0)."""
     z = _add_bias(x @ W1, b1)
-    if keep is not None:
-        z = T.mul(z, Tensor(np.where(keep, 1.0 / (1.0 - p), 0.0)))
+    if drop is not None:
+        z = T.mul(z, Tensor(drop))
     return _add_bias(T.mul(z, Tensor((z.data > 0).astype(np.float64))) @ W2, b2)
 
 
@@ -807,14 +801,14 @@ def test_mlp_matches_the_ops_it_fuses(chunked, masked, flags, seed):
     arrays = [rng.standard_normal((m, n)).astype(np.float32),
               rng.standard_normal((n, h)) / math.sqrt(n), rng.standard_normal(h),
               rng.standard_normal((h, d)), rng.standard_normal(d)]
-    keep = rng.random((m, h)) >= 0.3 if masked else None
+    drop = np.where(rng.random((m, h)) >= 0.3, 1 / 0.7, 0.0) if masked else None
     g = rng.standard_normal((m, d))
     g[rng.random(m) < 0.5] = 0.0  # output rows that carry no gradient
 
     def run(op):
         inputs = [Tensor(a, requires_grad=f) for a, f in zip(arrays, flags)]
         with Tape() as tape:
-            out = op(*inputs, keep, 0.3)
+            out = op(*inputs, drop)
             if tape.nodes:
                 backward(_sum(T.mul(out, Tensor(g))))
         return out.data, [t.grad for t in inputs], [node.name for node in tape.nodes]
@@ -838,6 +832,4 @@ def test_mlp_rejects_shapes_that_do_not_chain():
     with pytest.raises(ShapeError, match=r"b2 \(3,\)"):
         T.mlp(x, W1, b1, W2, Tensor(np.ones(3)))
     with pytest.raises(ShapeError, match=r"mask of shape \(4, 2\)"):
-        T.mlp(x, W1, b1, W2, b2, np.ones((4, 2), dtype=bool), 0.5)
-    with pytest.raises(ConfigError):
-        T.mlp(x, W1, b1, W2, b2, np.ones((4, 5), dtype=bool), 1.0)
+        T.mlp(x, W1, b1, W2, b2, np.ones((4, 2)))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from groundbox import tensor as T
 from groundbox.cli import GRADCHECK_DEFAULTS, GRADCHECK_TOLERANCE, gradcheck_all_modes
-from groundbox.config import GroundingConfig, LossMode
+from groundbox.config import ConfigError, GroundingConfig, LossMode
 from groundbox.data import (GT_DTYPE, DataError, IntegrityError, SamplingError,
                             SegmentSample, disjoint_rows, generate_synthetic,
                             label_members, load_segments, sample_frames,
@@ -24,7 +24,7 @@ from groundbox.encoders import ProposalEncoder
 from groundbox.evaluate import (EvalReport, box_accuracy, evaluate_model, iou,
                                 per_class_delta, upper_bound)
 from groundbox.model import GroundingModel, load_into_model, scored_frames
-from groundbox.tensor import ConfigError, ShapeError, Tape, Tensor, backward
+from groundbox.tensor import ShapeError, Tape, Tensor, backward
 from groundbox.train import NesterovSGD, checkpoint_load, checkpoint_save, train
 
 
@@ -407,12 +407,16 @@ def test_train_writes_artifacts(tmp_path):
         ["checkpoint.bin", "checkpoint.json", "trainlog.csv"]  # no temp file left
 
 
-def test_train_deterministic_loss_log():
-    _, splits = generate_synthetic(TINY)
-    _, h1 = train(TINY, splits)
-    _, splits2 = generate_synthetic(TINY)
-    _, h2 = train(TINY, splits2)
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+def test_train_deterministic_loss_log(dropout):
+    config = TINY.replace(dropout=dropout)
+    _, splits = generate_synthetic(config)
+    m1, h1 = train(config, splits)
+    _, splits2 = generate_synthetic(config)
+    m2, h2 = train(config, splits2)
     assert h1 == h2
+    for name, t in m1.params().items():
+        assert t.data.tobytes() == m2.params()[name].data.tobytes(), name
 
 
 def test_checkpoint_round_trip(tmp_path):
