@@ -7,10 +7,10 @@ training, and IoU-based box-accuracy evaluation.
 """
 
 from .config import GroundingConfig, LossMode
-from .data import (SegmentSample, Vocabulary, generate_synthetic, load_segments,
+from .data import (SegmentSample, Vocabulary, generate_synthetic, iou, load_segments,
                    sample_frames, sample_negative_sentence, save_segments)
-from .evaluate import EvalReport, box_accuracy, evaluate_model, iou, \
-    per_class_delta, upper_bound
+from .evaluate import EvalReport, box_accuracy, evaluate_model, per_class_delta, \
+    upper_bound
 from .gradcheck import finite_diff_check
 from .model import GroundingModel, load_into_model
 from .tensor import Tape, Tensor, backward, no_grad

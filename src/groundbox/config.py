@@ -56,7 +56,8 @@ class GroundingConfig:
 
     def __post_init__(self):
         if not isinstance(self.mode, LossMode):
-            if self.mode not in MODE_NAMES:
+            # a JSON list or object is unhashable: test the type before the lookup
+            if not isinstance(self.mode, str) or self.mode not in MODE_NAMES:
                 raise ConfigError(
                     f"unknown mode {self.mode!r}; choose from {sorted(MODE_NAMES)}")
             self.mode = MODE_NAMES[self.mode]
@@ -97,8 +98,9 @@ class GroundingConfig:
                       "frames_per_segment", "attn_layers", "attn_heads", "attn_hidden"):
             if getattr(self, field) < 1:
                 raise ConfigError(f"{field} must be >= 1, got {getattr(self, field)}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for field in ("seed", "train_segments", "val_segments", "test_segments"):
+            if getattr(self, field) < 0:
+                raise ConfigError(f"{field} must be >= 0, got {getattr(self, field)}")
         if self.attn_heads > self.attn_hidden:
             raise ConfigError(f"attn_heads {self.attn_heads} exceeds attn_hidden "
                               f"{self.attn_hidden}: each head needs a column")

@@ -93,34 +93,28 @@ class Vocabulary:
 # --------------------------------------------------------------------------
 # synthetic generation
 
-def _random_box(rng, canvas):
-    # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(): one call draws all
-    # four, in the order four uniform calls would (Python's round, not np.round)
-    uw, uh, ux, uy = rng.random(4).tolist()
-    w = (0.08 + (0.35 - 0.08) * uw) * canvas
-    h = (0.08 + (0.35 - 0.08) * uh) * canvas
-    x1 = (canvas - w) * ux
-    y1 = (canvas - h) * uy
-    return (round(x1, 2), round(y1, 2), round(x1 + w, 2), round(y1 + h, 2))
+IOU_THRESHOLD = 0.5  # a grounding is a hit only above it; a distractor stays below
 
 
-def _iou4(a, b):
-    """evaluate.iou of two 4-tuples in Python floats: the distractor test runs
-    once per candidate box, where a numpy call costs several times more."""
-    ix = max(0.0, min(a[2], b[2]) - max(a[0], b[0]))
-    iy = max(0.0, min(a[3], b[3]) - max(a[1], b[1]))
-    inter = ix * iy
-    return inter / ((a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1])
-                    - inter)
+def iou(a, b):
+    """Intersection area over union area of boxes (x1, y1, x2, y2) along the
+    last axis of a and b, which broadcast against each other."""
+    ax1, ay1, ax2, ay2 = np.moveaxis(np.asarray(a, dtype=np.float64), -1, 0)
+    bx1, by1, bx2, by2 = np.moveaxis(np.asarray(b, dtype=np.float64), -1, 0)
+    inter = (np.maximum(0.0, np.minimum(ax2, bx2) - np.maximum(ax1, bx1))
+             * np.maximum(0.0, np.minimum(ay2, by2) - np.maximum(ay1, by1)))
+    return inter / ((ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter)
 
 
-def _distractor_box(rng, canvas, avoid):
-    # grounding to a distractor must be unambiguously wrong: IoU < 0.5
-    for _ in range(200):
-        box = _random_box(rng, canvas)
-        if all(_iou4(box, a) < 0.5 for a in avoid):
-            return box
-    raise SamplingError("could not place a distractor box with IoU < 0.5")
+def _random_boxes(rng, shape):
+    """shape boxes of side 8-35% of CANVAS, each from four uniforms read as
+    (w, h, x, y) and rounded to two decimals."""
+    uw, uh, ux, uy = np.moveaxis(rng.random(shape + (4,)), -1, 0)
+    w = (0.08 + 0.27 * uw) * CANVAS
+    h = (0.08 + 0.27 * uh) * CANVAS
+    x1 = (CANVAS - w) * ux
+    y1 = (CANVAS - h) * uy
+    return np.round(np.stack([x1, y1, x1 + w, y1 + h], axis=-1), 2)
 
 
 def generate_synthetic(config, seed=None):
@@ -129,10 +123,13 @@ def generate_synthetic(config, seed=None):
     Every vocab label owns a latent prototype feature (referring expressions
     reuse their referent's prototype). Per segment, each query object gets
     one designated true proposal per frame of a contiguous span covering
-    ~presence of the frames; its feature is prototype + N(0, sigma) noise and
-    its box is recorded as ground truth for val/test. Distractor proposals
-    get fresh noise features at prototype scale and boxes with IoU < 0.5
-    against every true box.
+    ~presence of the frames; its feature is prototype + sigma * z and its box
+    is recorded as ground truth for val/test. A distractor proposal's feature
+    is sqrt(1 + sigma^2) * z, the law of fresh noise at prototype scale plus
+    sigma noise, so it never echoes a planted prototype and cross-segment
+    negatives stay clean; its box has IoU < IOU_THRESHOLD with every true box
+    of its frame. Each segment is drawn as whole arrays, one segment at a
+    time.
     """
     seed = config.seed if seed is None else seed
     rng = np.random.default_rng(seed)
@@ -150,45 +147,42 @@ def generate_synthetic(config, seed=None):
     def make_segment(sid, split):
         F, N = config.frames_per_segment, config.N
         O = int(rng.integers(config.min_objects, config.max_objects + 1))
-        query_labels = [int(x) for x in rng.choice(V, size=O, replace=False)]
-
+        query_labels = rng.choice(V, size=O, replace=False)
         span = max(1, round(config.presence * F))
-        spans = []
-        true_boxes = []
-        for _ in range(O):
-            start = int(rng.integers(0, F - span + 1))
-            spans.append(range(start, start + span))
-            true_boxes.append(_random_box(rng, CANVAS))
+        starts = rng.integers(0, F - span + 1, size=O)
+        true_boxes = _random_boxes(rng, (O,))
+        # present[f, k]: query k is in view at frame f; the j-th object present
+        # at a frame, in query order, owns slot perm[f, j] of it
+        frame = np.arange(F)[:, None]
+        present = (starts <= frame) & (frame < starts + span)
+        perm = rng.permuted(np.tile(np.arange(N), (F, 1)), axis=1)
+        f_of, k_of = np.nonzero(present)
+        slot = perm[f_of, np.cumsum(present, axis=1)[f_of, k_of] - 1]
 
-        # draws[f, i] is proposal i's (base, noise) pair: a distractor's base
-        # is fresh noise at prototype scale, so it never echoes a planted
-        # prototype and cross-segment negatives stay clean; an owner's base
-        # is its prototype. A distractor's two draws come before its box.
-        draws = np.empty((F, N, 2, D_in))
-        boxes = []
-        gt = []
-        for f in range(F):
-            present = [k for k in range(O) if f in spans[k]]
-            slots = rng.permutation(N)[: len(present)]
-            owner_of = dict(zip(slots.tolist(), present))
-            avoid = [true_boxes[k] for k in present]
-            for i in range(N):
-                owner = owner_of.get(i)
-                if owner is None:
-                    rng.standard_normal(out=draws[f, i])
-                    boxes.append(_distractor_box(rng, CANVAS, avoid))
-                else:
-                    draws[f, i, 0] = protos[query_labels[owner]]
-                    rng.standard_normal(out=draws[f, i, 1])
-                    boxes.append(true_boxes[owner])
-            gt.extend((k, f, true_boxes[k]) for k in present)
+        z = rng.standard_normal((F, N, D_in))
+        features = np.sqrt(1 + config.sigma ** 2) * z
+        features[f_of, slot] = protos[query_labels[k_of]] + config.sigma * z[f_of, slot]
+        boxes = _random_boxes(rng, (F, N))
+        boxes[f_of, slot] = true_boxes[k_of]
+        distractor = np.ones((F, N), dtype=bool)
+        distractor[f_of, slot] = False
+        for _ in range(200):
+            overlap = iou(boxes[:, :, None], true_boxes) >= IOU_THRESHOLD   # (F, N, O)
+            clash = distractor & (overlap & present[:, None]).any(axis=-1)
+            if not clash.any():
+                break
+            boxes[clash] = _random_boxes(rng, (int(clash.sum()),))
+        else:
+            raise SamplingError(f"could not place a distractor box with IoU < {IOU_THRESHOLD}")
 
         frames = np.empty((F, N), dtype=proposal_dtype(D_in))
-        frames["feature"] = draws[:, :, 0] + config.sigma * draws[:, :, 1]
-        frames["box"] = np.array(boxes).reshape(F, N, 4)
-        return SegmentSample(segment_id=sid, split=split, query_labels=query_labels,
-                             frames=frames, gt=None if split == "train" else
-                             np.array(gt, dtype=GT_DTYPE))
+        frames["feature"] = features
+        frames["box"] = boxes
+        gt = np.empty(len(f_of), dtype=GT_DTYPE)
+        gt["query"], gt["frame"], gt["box"] = k_of, f_of, true_boxes[k_of]
+        return SegmentSample(segment_id=sid, split=split,
+                             query_labels=query_labels.tolist(), frames=frames,
+                             gt=None if split == "train" else gt)
 
     splits = {}
     for split, count in (("train", config.train_segments),

@@ -1,9 +1,9 @@
-"""IoU, box accuracy, the proposal upper bound, and report comparison.
+"""Box accuracy, the proposal upper bound, and report comparison.
 
-A prediction counts as a hit only if its IoU with the ground-truth box is
-strictly over 0.5. Per-class accuracy is hits/instances over (query, frame)
-ground-truth records; the macro average is the unweighted mean over classes
-with at least one instance.
+A prediction counts as a hit only if its IoU (data.iou) with the ground-truth
+box is strictly over IOU_THRESHOLD, 0.5. Per-class accuracy is hits/instances
+over (query, frame) ground-truth records; the macro average is the unweighted
+mean over classes with at least one instance.
 """
 
 import json
@@ -14,9 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import GT_DTYPE, DataError, checked_list, read_object, replacing
-
-IOU_THRESHOLD = 0.5
+from .data import (GT_DTYPE, IOU_THRESHOLD, DataError, checked_list, iou, read_object,
+                   replacing)
 
 
 @dataclass
@@ -53,16 +52,6 @@ class EvalReport:
                          "number")
         return cls(per_class=d["per_class"], macro_accuracy=d["macro_accuracy"],
                    upper_bound=d.get("upper_bound")), d
-
-
-def iou(a, b):
-    """Intersection area over union area of boxes (x1, y1, x2, y2) along the
-    last axis of a and b, which broadcast against each other."""
-    ax1, ay1, ax2, ay2 = np.moveaxis(np.asarray(a, dtype=np.float64), -1, 0)
-    bx1, by1, bx2, by2 = np.moveaxis(np.asarray(b, dtype=np.float64), -1, 0)
-    inter = (np.maximum(0.0, np.minimum(ax2, bx2) - np.maximum(ax1, bx1))
-             * np.maximum(0.0, np.minimum(ay2, by2) - np.maximum(ay1, by1)))
-    return inter / ((ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter)
 
 
 class _GtIndex(NamedTuple):

@@ -193,7 +193,9 @@ def test_cli_seed_env_var_and_flag_precedence(tmp_path, fast_cfg, monkeypatch, c
 
 
 @pytest.mark.parametrize("line, want", [("lr=-1", "lr must be positive, got -1.0"),
-                                        ("mode=bogus", "unknown mode 'bogus'")])
+                                        ("mode=bogus", "unknown mode 'bogus'"),
+                                        ("train_segments=-3",
+                                         "train_segments must be >= 0, got -3")])
 def test_cli_names_the_config_file_of_a_bad_value(tmp_path, fast_cfg, capsys, line, want):
     bad = tmp_path / "bad.cfg"
     bad.write_text(FAST + line + "\n")
@@ -346,6 +348,8 @@ def test_cli_eval_load_errors_name_the_checkpoint(tmp_path, fast_cfg, capsys):
     assert f"{manifest_path}: epochs must be an int, got True" in err
     err = eval_error(lambda m: m["config"].update(seed=-1))
     assert f"{manifest_path}: seed must be >= 0, got -1" in err
+    err = eval_error(lambda m: m["config"].update(mode=["full"]))
+    assert f"{manifest_path}: unknown mode ['full']" in err
     for config in ([], "d"):
         err = eval_error(lambda m: m.update(config=config))
         assert f"{manifest_path}: config must be an object of fields, got {config!r}" in err
